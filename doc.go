@@ -63,6 +63,16 @@
 // (the sum invariant holds in every Result, progress snapshot and
 // telemetry block). See README "Two-tier CDCM evaluation".
 //
+// The pricing tier is chosen in one place: when a move engine starts a
+// walk, search binds it once (walk.go) to full, delta or surrogate
+// pricing plus the optional tier-A bound, and the walk owns the working
+// mapping, the exact tracked cost and the evaluation bookkeeping. The
+// engines keep only their own rules: Annealer and ParetoSA share one
+// annealing schedule (ParetoSA runs it without reheats over a
+// vector-scalarising walk), HillClimber and Tabu share one
+// neighbourhood scan, and Exhaustive and ShardedExhaustive share one
+// placement visitor.
+//
 // The scalar cost the paper optimises is one point of a trade-off curve,
 // and the framework can report the whole curve: both evaluators implement
 // search.VectorObjective, exposing named component axes (CWM: dynamic

@@ -125,9 +125,9 @@ type Options struct {
 	ESAnchor bool
 	// Samples sets the random-search budget (0 = default).
 	Samples int
-	// Initial, when non-nil, seeds the annealer, the hill climber or the
-	// Pareto engine with this mapping instead of a random one (ignored by
-	// the other methods).
+	// Initial, when non-nil, seeds the annealer, the hill climber, tabu
+	// search or the Pareto engine with this mapping instead of a random
+	// one (ignored by the enumerating methods, ES and random).
 	Initial mapping.Mapping
 	// SeedGreedy, when true and Initial is nil, warm-starts the engine
 	// with the deterministic highest-traffic-first constructive placement
@@ -456,7 +456,7 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			res, err = (&search.HillClimber{Problem: prob, Seed: opts.Seed, Initial: opts.Initial,
 				Ctx: opts.Ctx, OnProgress: opts.OnProgress}).Run()
 		case MethodTabu:
-			res, err = (&search.Tabu{Problem: prob, Seed: opts.Seed,
+			res, err = (&search.Tabu{Problem: prob, Seed: opts.Seed, Initial: opts.Initial,
 				Ctx: opts.Ctx, OnProgress: opts.OnProgress}).Run()
 		}
 	default:

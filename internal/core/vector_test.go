@@ -224,6 +224,7 @@ func TestExploreSeedGreedyNeverWorse(t *testing.T) {
 	}{
 		{"sa", Options{Method: MethodSA, Seed: 3, TempSteps: 8, MovesPerTemp: 10, SeedGreedy: true}},
 		{"hill", Options{Method: MethodHill, Seed: 3, SeedGreedy: true}},
+		{"tabu", Options{Method: MethodTabu, Seed: 3, SeedGreedy: true}},
 		{"pareto", func() Options { o := paretoOptions(2); o.SeedGreedy = true; return o }()},
 	} {
 		strategy := StrategyCDCM

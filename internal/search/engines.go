@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -37,47 +36,12 @@ func (e *Exhaustive) Run() (*Result, error) {
 	if err := e.Problem.validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{BestCost: math.Inf(1)}
 	anchor := -1
 	if e.Anchor {
 		anchor = 0
 	}
-	var innerErr error
-	err := mapping.Enumerate(e.Problem.Mesh, e.Problem.NumCores,
-		mapping.EnumerateOptions{Limit: e.Limit, AnchorCore: anchor},
-		func(m mapping.Mapping) bool {
-			if e.Ctx != nil && res.Evaluations%pollEvery == 0 {
-				if err := pollCtx(e.Ctx); err != nil {
-					innerErr = err
-					return false
-				}
-			}
-			c, err := e.Problem.Obj.Cost(m)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			res.Evaluations++
-			res.ExactEvals++
-			if e.OnProgress != nil && res.Evaluations%4096 == 0 {
-				e.OnProgress(Progress{Engine: "ES", Evaluations: res.Evaluations,
-					ExactEvals: res.ExactEvals,
-					Accepted:   res.Improvements, Rejected: res.Evaluations - res.Improvements,
-					BestCost: res.BestCost})
-			}
-			if res.Evaluations == 1 {
-				res.InitialCost = c
-			}
-			if c < res.BestCost {
-				res.BestCost = c
-				res.Best = m.Clone()
-				res.Improvements++
-			}
-			return true
-		})
-	if innerErr != nil {
-		return nil, innerErr
-	}
+	res, err := e.Problem.enumerate(e.Ctx, mapping.EnumerateOptions{Limit: e.Limit, AnchorCore: anchor},
+		e.OnProgress, 0)
 	if err == mapping.ErrLimit {
 		return res, nil // truncated: not certified
 	}
@@ -86,6 +50,48 @@ func (e *Exhaustive) Run() (*Result, error) {
 	}
 	res.Certified = true
 	return res, nil
+}
+
+// enumerate prices every placement opts admits with p.Obj — the
+// per-placement visitor Exhaustive and each ShardedExhaustive shard
+// share. It returns the partial result alongside mapping.ErrLimit when
+// the limit fires; shard labels the progress snapshots.
+func (p *Problem) enumerate(ctx context.Context, opts mapping.EnumerateOptions,
+	onProgress ProgressFunc, shard int) (*Result, error) {
+	res := &Result{BestCost: math.Inf(1)}
+	var innerErr error
+	err := mapping.Enumerate(p.Mesh, p.NumCores, opts, func(m mapping.Mapping) bool {
+		if ctx != nil && res.Evaluations%pollEvery == 0 {
+			if innerErr = pollCtx(ctx); innerErr != nil {
+				return false
+			}
+		}
+		c, err := p.Obj.Cost(m)
+		if err != nil {
+			innerErr = err
+			return false
+		}
+		res.Evaluations++
+		res.ExactEvals++
+		if res.Evaluations == 1 {
+			res.InitialCost = c
+		}
+		if onProgress != nil && res.Evaluations%4096 == 0 {
+			pr := res.progress("ES", res.Improvements, res.Evaluations-res.Improvements)
+			pr.Restart = shard
+			onProgress(pr)
+		}
+		if c < res.BestCost {
+			res.BestCost = c
+			res.Best = m.Clone()
+			res.Improvements++
+		}
+		return true
+	})
+	if innerErr != nil {
+		return nil, innerErr
+	}
+	return res, err
 }
 
 // RandomSearch samples independent random mappings — the baseline of the
@@ -138,10 +144,9 @@ func (r *RandomSearch) Run() (*Result, error) {
 			res.Improvements++
 		}
 		if r.OnProgress != nil && (i+1)%256 == 0 {
-			r.OnProgress(Progress{Engine: "random", Step: i + 1, Steps: samples,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				Accepted: res.Improvements, Rejected: res.Evaluations - res.Improvements,
-				BestCost: res.BestCost})
+			p := res.progress("random", res.Improvements, res.Evaluations-res.Improvements)
+			p.Step, p.Steps = i+1, samples
+			r.OnProgress(p)
 		}
 	}
 	return res, nil
@@ -180,154 +185,54 @@ func (h *HillClimber) Run() (*Result, error) {
 		restarts = 3
 	}
 	rng := rand.New(rand.NewSource(h.Seed))
-	numTiles := h.Problem.Mesh.NumTiles()
 	res := &Result{BestCost: math.Inf(1)}
-	var useDeltaAny bool
+	var w *walk
 	// Telemetry counters across all restarts: each steepest-descent scan
 	// accepts at most one neighbour (the applied move) and rejects the
 	// rest. Never read by the search itself.
 	var accepted, rejected int64
 	for r := 0; r < restarts; r++ {
-		var cur mapping.Mapping
-		if r == 0 && h.Initial != nil {
-			if len(h.Initial) != h.Problem.NumCores {
-				return nil, fmt.Errorf("search: initial mapping has %d cores, want %d",
-					len(h.Initial), h.Problem.NumCores)
-			}
-			if err := h.Initial.Validate(numTiles); err != nil {
-				return nil, err
-			}
-			cur = h.Initial.Clone()
-		} else {
-			var err error
-			cur, err = mapping.Random(rng, h.Problem.NumCores, numTiles)
+		initial := h.Initial
+		if r > 0 {
+			initial = nil
+		}
+		var err error
+		if w, err = h.Problem.startWalk(rng, initial, boundTier, res); err != nil {
+			return nil, err
+		}
+		if r == 0 {
+			res.InitialCost = w.cost
+		}
+		for {
+			mv, err := w.bestSwap(h.Ctx, 0, nil)
 			if err != nil {
 				return nil, err
 			}
-		}
-		cost, dobj, useDelta, err := bindObjective(h.Problem.Obj, cur)
-		if err != nil {
-			return nil, err
-		}
-		useDeltaAny = useDelta
-		res.Evaluations++
-		res.ExactEvals++
-		if r == 0 {
-			res.InitialCost = cost
-		}
-		var inc incumbent
-		inc.bind(cur, numTiles, cost)
-		// Tier-A bound filter: nil unless the objective is a
-		// TieredObjective with a certified lower bound (and the exact tier
-		// has no delta path — a delta-capable exact objective is already
-		// cheaper than any bound probe).
-		var bnd LowerBoundObjective
-		if !useDelta {
-			if bnd, err = bindBound(h.Problem.Obj, cur); err != nil {
-				return nil, err
-			}
-		}
-		for {
-			bestD := 0.0
-			bestC := 0.0
-			var scanned int64
-			bestA, bestB := topology.TileID(-1), topology.TileID(-1)
-			for a := 0; a < numTiles; a++ {
-				for b := a + 1; b < numTiles; b++ {
-					ta, tb := topology.TileID(a), topology.TileID(b)
-					if inc.occ[ta] == mapping.Unassigned && inc.occ[tb] == mapping.Unassigned {
-						continue
-					}
-					if h.Ctx != nil && res.Evaluations%pollEvery == 0 {
-						if err := pollCtx(h.Ctx); err != nil {
-							return nil, err
-						}
-					}
-					if bnd != nil {
-						// Skip rule: the candidate's certified bound already
-						// proves its exact delta cannot beat bestD. lb ≤ c
-						// (the exact cost) gives lb−cost ≤ c−cost = d by
-						// monotonicity of float subtraction in its first
-						// operand, so lb−cost ≥ bestD implies d ≥ bestD and
-						// the strict d < bestD selection below could never
-						// fire — the skipped candidate is exactly one the
-						// exact scan would have rejected, which is what
-						// keeps the filtered trajectory bit-identical.
-						lb, err := bnd.SwapBound(inc.occ, ta, tb)
-						if err != nil {
-							return nil, err
-						}
-						if lb-inc.cost >= bestD {
-							res.Evaluations++
-							res.BoundSkips++
-							scanned++
-							continue
-						}
-					}
-					var c, d float64
-					if useDelta {
-						d, err = dobj.SwapDelta(inc.occ, ta, tb)
-						c = inc.cost + d
-					} else {
-						mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-						c, err = h.Problem.Obj.Cost(inc.cur)
-						mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-						d = c - inc.cost
-					}
-					if err != nil {
-						return nil, err
-					}
-					res.Evaluations++
-					res.ExactEvals++
-					scanned++
-					if d < bestD {
-						bestD = d
-						bestC = c
-						bestA, bestB = ta, tb
-					}
-				}
-			}
-			if bestA < 0 {
-				rejected += scanned
+			if mv.ta < 0 {
+				rejected += mv.scanned
 				break // local optimum
 			}
 			accepted++
-			rejected += scanned - 1
-			mapping.SwapTiles(inc.cur, inc.occ, bestA, bestB)
-			// Record an exactly recomputed cost rather than accumulating
-			// cost += bestD: repeated accumulation drifts away from the
-			// true cost and distorts later d < bestD comparisons. On the
-			// full path bestC is the evaluated neighbour's full Cost; on
-			// the delta path Commit returns the exact updated baseline.
-			if useDelta {
-				bestC = dobj.Commit(bestA, bestB)
+			rejected += mv.scanned - 1
+			if err := w.apply(mv.ta, mv.tb, mv.c); err != nil {
+				return nil, err
 			}
-			if bnd != nil {
-				bnd.CommitBound(bestA, bestB)
-			}
-			inc.adopt("hill", h.Problem.Obj, bestC)
 			if h.OnProgress != nil {
-				b := res.BestCost
-				if inc.cost < b {
-					b = inc.cost
+				p := res.progress("hill", accepted, rejected)
+				p.Step, p.Steps = r+1, restarts
+				if w.cost < p.BestCost {
+					p.BestCost = w.cost
 				}
-				h.OnProgress(Progress{Engine: "hill", Step: r + 1, Steps: restarts,
-					Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-					BoundSkips: res.BoundSkips,
-					Accepted:   accepted, Rejected: rejected,
-					BestCost: b})
+				h.OnProgress(p)
 			}
 		}
-		if inc.cost < res.BestCost {
-			res.BestCost = inc.cost
-			res.Best = inc.cur.Clone()
-			res.Improvements++
-		}
+		w.record()
 	}
-	if useDeltaAny {
-		if err := repriceBest(h.Problem.Obj, res); err != nil {
-			return nil, err
-		}
+	if w == nil {
+		return res, nil // no restarts
+	}
+	if err := w.finish(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -341,6 +246,9 @@ type Tabu struct {
 	Seed       int64
 	Iterations int // 0 defaults to 200
 	Tenure     int // 0 defaults to NumTiles/2+1
+	// Initial, when non-nil, replaces the random starting mapping — the
+	// warm-start seam, as on HillClimber.
+	Initial mapping.Mapping
 	// Ctx, when non-nil, cancels the search; Run returns ctx.Err().
 	Ctx context.Context
 	// OnProgress, when non-nil, receives a snapshot after every iteration.
@@ -362,133 +270,56 @@ func (t *Tabu) Run() (*Result, error) {
 		tenure = numTiles/2 + 1
 	}
 	rng := rand.New(rand.NewSource(t.Seed))
-	cur, err := mapping.Random(rng, t.Problem.NumCores, numTiles)
+	res := &Result{}
+	w, err := t.Problem.startWalk(rng, t.Initial, boundTier, res)
 	if err != nil {
 		return nil, err
 	}
-	cost, dobj, useDelta, err := bindObjective(t.Problem.Obj, cur)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{InitialCost: cost, BestCost: cost, Best: cur.Clone(),
-		Evaluations: 1, ExactEvals: 1}
-	var inc incumbent
-	inc.bind(cur, numTiles, cost)
-	// Tier-A bound filter; see HillClimber.Run.
-	var bnd LowerBoundObjective
-	if !useDelta {
-		if bnd, err = bindBound(t.Problem.Obj, cur); err != nil {
-			return nil, err
-		}
-	}
+	res.InitialCost = w.cost
+	res.Best = w.cur.Clone()
+	res.BestCost = w.cost
 
+	// All neighbour comparisons run in the delta domain: the delta path's
+	// SwapDelta and the full path's c − cost are bit-identical for an
+	// exact DeltaObjective (same operands), whereas comparing
+	// reconstructed absolute costs (cost + d) could round a tie apart and
+	// make the two paths pick different moves. The aspiration threshold is
+	// expressed the same way, against a per-iteration constant.
 	tabuUntil := make(map[[2]topology.TileID]int, numTiles)
+	var it int
+	var aspire float64
+	admit := func(ta, tb topology.TileID, d float64) bool {
+		return !(tabuUntil[[2]topology.TileID{ta, tb}] > it && d >= aspire)
+	}
 	// Telemetry counters: one applied (accepted) move per iteration, the
 	// rest of the scanned neighbourhood rejected. Never read by the
 	// search itself.
 	var accepted, rejected int64
-	for it := 0; it < iters; it++ {
-		// All neighbour comparisons run in the delta domain: the delta
-		// path's SwapDelta and the full path's c − cost are bit-identical
-		// for an exact DeltaObjective (same operands), whereas comparing
-		// reconstructed absolute costs (cost + d) could round a tie apart
-		// and make the two paths pick different moves. The aspiration
-		// threshold is expressed the same way, against a per-iteration
-		// constant.
-		bestD := math.Inf(1)
-		var bestC float64
-		var scanned int64
-		aspire := res.BestCost - inc.cost
-		bestA, bestB := topology.TileID(-1), topology.TileID(-1)
-		for a := 0; a < numTiles; a++ {
-			for b := a + 1; b < numTiles; b++ {
-				ta, tb := topology.TileID(a), topology.TileID(b)
-				if inc.occ[ta] == mapping.Unassigned && inc.occ[tb] == mapping.Unassigned {
-					continue
-				}
-				if t.Ctx != nil && res.Evaluations%pollEvery == 0 {
-					if err := pollCtx(t.Ctx); err != nil {
-						return nil, err
-					}
-				}
-				if bnd != nil {
-					// Skip rule as in HillClimber.Run: lb−cost ≥ bestD
-					// certifies d ≥ bestD, so the candidate could neither
-					// be selected (strict d < bestD) nor change any tabu
-					// bookkeeping (the scan only reads tabuUntil). The
-					// first scanned candidate is never skipped — bestD
-					// starts at +Inf — so bestA is found exactly as in the
-					// unfiltered scan.
-					lb, err := bnd.SwapBound(inc.occ, ta, tb)
-					if err != nil {
-						return nil, err
-					}
-					if lb-inc.cost >= bestD {
-						res.Evaluations++
-						res.BoundSkips++
-						scanned++
-						continue
-					}
-				}
-				var c, d float64
-				if useDelta {
-					d, err = dobj.SwapDelta(inc.occ, ta, tb)
-					c = inc.cost + d
-				} else {
-					mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-					c, err = t.Problem.Obj.Cost(inc.cur)
-					mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-					d = c - inc.cost
-				}
-				if err != nil {
-					return nil, err
-				}
-				res.Evaluations++
-				res.ExactEvals++
-				scanned++
-				if tabuUntil[[2]topology.TileID{ta, tb}] > it && d >= aspire {
-					continue // tabu and no aspiration
-				}
-				if d < bestD {
-					bestD = d
-					bestC = c
-					bestA, bestB = ta, tb
-				}
-			}
+	for it = 0; it < iters; it++ {
+		aspire = res.BestCost - w.cost
+		mv, err := w.bestSwap(t.Ctx, math.Inf(1), admit)
+		if err != nil {
+			return nil, err
 		}
-		if bestA < 0 {
-			rejected += scanned
+		if mv.ta < 0 {
+			rejected += mv.scanned
 			break // every move tabu: rare on real instances
 		}
 		accepted++
-		rejected += scanned - 1
-		mapping.SwapTiles(inc.cur, inc.occ, bestA, bestB)
-		// As in the hill climber, the delta path adopts Commit's exact
-		// recompute instead of the accumulated cost + delta.
-		if useDelta {
-			bestC = dobj.Commit(bestA, bestB)
-		}
-		if bnd != nil {
-			bnd.CommitBound(bestA, bestB)
-		}
-		inc.adopt("tabu", t.Problem.Obj, bestC)
-		tabuUntil[[2]topology.TileID{bestA, bestB}] = it + tenure
-		if inc.cost < res.BestCost {
-			res.BestCost = inc.cost
-			copy(res.Best, inc.cur)
-			res.Improvements++
-		}
-		if t.OnProgress != nil {
-			t.OnProgress(Progress{Engine: "tabu", Step: it + 1, Steps: iters,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				BoundSkips: res.BoundSkips, Accepted: accepted,
-				Rejected: rejected, BestCost: res.BestCost})
-		}
-	}
-	if useDelta {
-		if err := repriceBest(t.Problem.Obj, res); err != nil {
+		rejected += mv.scanned - 1
+		if err := w.apply(mv.ta, mv.tb, mv.c); err != nil {
 			return nil, err
 		}
+		tabuUntil[[2]topology.TileID{mv.ta, mv.tb}] = it + tenure
+		w.record()
+		if t.OnProgress != nil {
+			p := res.progress("tabu", accepted, rejected)
+			p.Step, p.Steps = it+1, iters
+			t.OnProgress(p)
+		}
+	}
+	if err := w.finish(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

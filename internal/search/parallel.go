@@ -129,13 +129,18 @@ func mergeRestarts(results []*Result) *Result {
 		InitialCost: results[0].InitialCost,
 	}
 	for _, r := range results {
-		merged.Evaluations += r.Evaluations
-		merged.ExactEvals += r.ExactEvals
-		merged.BoundSkips += r.BoundSkips
-		merged.SurrogateEvals += r.SurrogateEvals
-		merged.Improvements += r.Improvements
+		merged.addCounts(r)
 	}
 	return merged
+}
+
+// addCounts adds r's evaluation and improvement counters to m.
+func (m *Result) addCounts(r *Result) {
+	m.Evaluations += r.Evaluations
+	m.ExactEvals += r.ExactEvals
+	m.BoundSkips += r.BoundSkips
+	m.SurrogateEvals += r.SurrogateEvals
+	m.Improvements += r.Improvements
 }
 
 // ShardedExhaustive partitions the exhaustive enumeration by the tile
@@ -204,45 +209,10 @@ func (s *ShardedExhaustive) Run() (*Result, error) {
 	}
 	shards := make([]*Result, len(tiles))
 	err = par.ForEachWorkerCtx(s.Ctx, len(tiles), workers, func(w, i int) error {
-		res := &Result{BestCost: math.Inf(1)}
-		obj := objs[w]
-		var innerErr error
-		err := mapping.Enumerate(s.Problem.Mesh, s.Problem.NumCores,
-			mapping.EnumerateOptions{AnchorCore: -1, PinFirst: true, FirstTile: tiles[i]},
-			func(m mapping.Mapping) bool {
-				if s.Ctx != nil && res.Evaluations%pollEvery == 0 {
-					if err := pollCtx(s.Ctx); err != nil {
-						innerErr = err
-						return false
-					}
-				}
-				c, err := obj.Cost(m)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				res.Evaluations++
-				res.ExactEvals++
-				if res.Evaluations == 1 {
-					res.InitialCost = c
-				}
-				if s.OnProgress != nil && res.Evaluations%4096 == 0 {
-					s.OnProgress(Progress{Engine: "ES", Restart: i,
-						Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-						Accepted: res.Improvements,
-						Rejected: res.Evaluations - res.Improvements,
-						BestCost: res.BestCost})
-				}
-				if c < res.BestCost {
-					res.BestCost = c
-					res.Best = m.Clone()
-					res.Improvements++
-				}
-				return true
-			})
-		if innerErr != nil {
-			return innerErr
-		}
+		prob := s.Problem
+		prob.Obj = objs[w]
+		res, err := prob.enumerate(s.Ctx, mapping.EnumerateOptions{AnchorCore: -1, PinFirst: true, FirstTile: tiles[i]},
+			s.OnProgress, i)
 		if err != nil {
 			return err
 		}
@@ -280,11 +250,7 @@ func (s *ShardedExhaustive) firstTiles() []topology.TileID {
 func mergeShards(shards []*Result) *Result {
 	merged := &Result{BestCost: math.Inf(1), Certified: true}
 	for i, r := range shards {
-		merged.Evaluations += r.Evaluations
-		merged.ExactEvals += r.ExactEvals
-		merged.BoundSkips += r.BoundSkips
-		merged.SurrogateEvals += r.SurrogateEvals
-		merged.Improvements += r.Improvements
+		merged.addCounts(r)
 		if i == 0 {
 			merged.InitialCost = r.InitialCost
 		}

@@ -8,13 +8,14 @@ import "context"
 // callback is bit-identical to one without.
 type Progress struct {
 	// Engine names the emitting engine ("SA", "ES", "random", "hill",
-	// "tabu").
+	// "tabu", "pareto").
 	Engine string
-	// Restart is the restart index (MultiAnnealer) or shard index
-	// (ShardedExhaustive) the snapshot belongs to; 0 for serial engines.
+	// Restart is the restart index (MultiAnnealer), shard index
+	// (ShardedExhaustive) or walk index (ParetoSA) the snapshot belongs
+	// to; 0 for serial engines.
 	Restart int
 	// Step / Steps report outer-loop progress in engine-specific units:
-	// temperature steps for SA, iterations for tabu, samples for random
+	// temperature steps for SA and pareto walks, iterations for tabu, samples for random
 	// search, restarts for hill climbing. Steps is 0 when the total is
 	// unknown up front (exhaustive enumeration).
 	Step, Steps int
@@ -40,6 +41,14 @@ type Progress struct {
 	Accepted, Rejected int64
 	// BestCost is the incumbent best objective value.
 	BestCost float64
+}
+
+// progress snapshots res's counters and BestCost with the given move
+// decisions; the caller fills in the engine-specific position fields.
+func (r *Result) progress(engine string, accepted, rejected int64) Progress {
+	return Progress{Engine: engine, Evaluations: r.Evaluations, ExactEvals: r.ExactEvals,
+		BoundSkips: r.BoundSkips, SurrogateEvals: r.SurrogateEvals,
+		Accepted: accepted, Rejected: rejected, BestCost: r.BestCost}
 }
 
 // ProgressFunc receives Progress snapshots. The parallel engines

@@ -49,10 +49,10 @@ type Objective interface {
 //	cost = obj.Commit(ta, tb)          // make an accepted swap permanent
 //
 // occ must be the occupancy view of the bound mapping (the engines
-// maintain it alongside their working mapping). The engines type-assert
-// their Problem.Obj against this interface and fall back to plain Cost
-// when it is absent (the CDCM simulator keeps the full path: contention
-// is global, so no cheap swap delta exists).
+// maintain it alongside their working mapping). Each walk type-asserts
+// its exact objective against this interface once, when it binds, and
+// falls back to plain Cost when it is absent (the CDCM simulator keeps
+// the full path: contention is global, so no cheap swap delta exists).
 //
 // Commit returns the exact cost of the updated baseline, and the engines
 // adopt it as their tracked cost: accumulating cost += delta instead
@@ -86,37 +86,6 @@ type ObjectiveFunc func(mp mapping.Mapping) (float64, error)
 
 // Cost implements Objective.
 func (f ObjectiveFunc) Cost(mp mapping.Mapping) (float64, error) { return f(mp) }
-
-// bindObjective primes an objective for one walk over the given starting
-// mapping: a DeltaObjective binds it via Reset (which also validates
-// injectivity), the fallback prices it with a plain Cost call. A
-// TieredObjective is unwrapped to its exact tier first, so tiered runs
-// bind and price on exactly the bare evaluator's code path. The caller
-// counts the returned evaluation (an exact one).
-func bindObjective(obj Objective, mp mapping.Mapping) (cost float64, dobj DeltaObjective, useDelta bool, err error) {
-	obj = exactOf(obj)
-	if dobj, ok := obj.(DeltaObjective); ok {
-		c, err := dobj.Reset(mp)
-		return c, dobj, true, err
-	}
-	c, err := obj.Cost(mp)
-	return c, nil, false, err
-}
-
-// repriceBest re-prices res.Best with one full evaluation — the delta
-// path's final guard against objectives whose deltas are only
-// approximately consistent with Cost. Deliberately not counted in
-// res.Evaluations: it is a guard, not search work, and keeping the count
-// identical to the full-recompute path makes the two paths directly
-// comparable in tests.
-func repriceBest(obj Objective, res *Result) error {
-	c, err := obj.Cost(res.Best)
-	if err != nil {
-		return err
-	}
-	res.BestCost = c
-	return nil
-}
 
 // Result reports the outcome of one search run.
 type Result struct {
@@ -219,168 +188,123 @@ func (a *Annealer) Run() (*Result, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(a.Seed))
-	numTiles := a.Problem.Mesh.NumTiles()
-
-	cur := a.Initial
-	if cur == nil {
-		var err error
-		cur, err = mapping.Random(rng, a.Problem.NumCores, numTiles)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(cur) != a.Problem.NumCores {
-			return nil, fmt.Errorf("search: initial mapping has %d cores, want %d", len(cur), a.Problem.NumCores)
-		}
-		if err := cur.Validate(numTiles); err != nil {
-			return nil, err
-		}
-		cur = cur.Clone()
-	}
-	occ := cur.Occupants(numTiles)
-
 	res := &Result{}
-	cost, dobj, useDelta, err := bindObjective(a.Problem.Obj, cur)
+	w, err := a.Problem.startWalk(rng, a.Initial, surrogateTier, res)
 	if err != nil {
 		return nil, err
 	}
-	res.Evaluations++
-	res.ExactEvals++
-	res.InitialCost = cost
-	res.Best = cur.Clone()
-	res.BestCost = cost
-
-	// Tier-B surrogate walk (see TieredObjective): candidates are priced
-	// on the calibrated surrogate and only accepted moves pay an exact
-	// pricing, so `cost` (and therefore Best/BestCost) stays exact while
-	// the Metropolis decisions run on surrogate deltas. scost tracks the
-	// surrogate's own baseline the way cost tracks the exact one on the
-	// delta path. Never combined with useDelta: a delta-capable exact
-	// objective is already as cheap as any surrogate.
-	surr := surrogateOf(a.Problem.Obj)
-	useSurr := surr != nil && !useDelta
-	var scost float64
-	if useSurr {
-		if scost, err = surr.Reset(cur); err != nil {
-			return nil, err
-		}
-	}
+	res.InitialCost = w.cost
+	res.Best = w.cur.Clone()
+	res.BestCost = w.cost
 
 	// A 1-tile mesh admits exactly one mapping, so it is already the
-	// optimum — and propose() below could never draw two distinct tiles:
-	// without this return the calibration pass would spin forever.
+	// optimum — and the move proposal could never draw two distinct
+	// tiles: without this return the calibration pass would spin forever.
+	numTiles := a.Problem.Mesh.NumTiles()
 	if numTiles < 2 {
 		return res, nil
 	}
+	s := anneal{engine: "SA", initialTemp: a.InitialTemp, alpha: a.Alpha,
+		moves: a.MovesPerTemp, steps: a.TempSteps, stall: a.StallSteps,
+		reheats: a.Reheats, ctx: a.Ctx, onProgress: a.OnProgress}
+	if err := s.run(rng, w.cur, numTiles, res, w); err != nil {
+		return nil, err
+	}
+	if err := w.finish(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
-	alpha := a.Alpha
+// mover is the walk surface the annealing schedule drives. walk is the
+// scalar Annealer's mover, vectorWalk the ParetoSA walk's.
+type mover interface {
+	// probe prices swapping the occupants of ta and tb without applying
+	// it, counts the evaluation, and returns the delta in the walk's
+	// steering domain.
+	probe(ta, tb topology.TileID) (float64, error)
+	// take applies the swap last probed and reports whether it improved
+	// the walk's best.
+	take(ta, tb topology.TileID) (bool, error)
+	// reheat jumps the walk back to its incumbent best.
+	reheat() error
+	// scale is the magnitude the fallback starting temperature derives
+	// from when calibration samples no degrading move.
+	scale() float64
+}
+
+// anneal is the annealing schedule Annealer and ParetoSA share: defaults
+// and validation, T0 calibration, geometric cooling with stall detection
+// and reheats, and the Metropolis test. Zero fields take the defaults
+// documented on Annealer.
+type anneal struct {
+	engine                       string
+	restart                      int
+	initialTemp, alpha           float64
+	moves, steps, stall, reheats int
+	ctx                          context.Context
+	onProgress                   ProgressFunc
+}
+
+// run anneals m, whose working mapping is cur, over a mesh of numTiles
+// (at least 2) tiles; res holds the walk's counters. Progress snapshots
+// carry res's counters and BestCost.
+func (s *anneal) run(rng *rand.Rand, cur mapping.Mapping, numTiles int, res *Result, m mover) error {
+	alpha := s.alpha
 	if alpha == 0 {
 		alpha = 0.95
 	}
 	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("search: alpha %g outside (0,1)", alpha)
+		return fmt.Errorf("search: alpha %g outside (0,1)", alpha)
 	}
-	moves := a.MovesPerTemp
+	moves := s.moves
 	if moves == 0 {
 		moves = 10 * numTiles
 	}
-	steps := a.TempSteps
+	steps := s.steps
 	if steps == 0 {
 		steps = 100
 	}
-	stall := a.StallSteps
+	stall := s.stall
 	if stall == 0 {
 		stall = 20
 	}
 
-	propose := func() (ta, tb topology.TileID) {
+	// next polls the context and proposes a swap. The first tile is drawn
+	// through a uniform core, so it is always occupied: a swap of two
+	// empty tiles is a no-op, and on a sparsely occupied mesh drawing
+	// tiles directly wastes most draws on empty-empty pairs before
+	// finding a real move.
+	next := func() (ta, tb topology.TileID, err error) {
+		if s.ctx != nil && res.Evaluations%pollEvery == 0 {
+			if err := pollCtx(s.ctx); err != nil {
+				return 0, 0, err
+			}
+		}
 		for {
-			// Draw the first tile through a uniform core, so it is always
-			// occupied: a swap of two empty tiles is a no-op, and on a
-			// sparsely occupied mesh drawing tiles directly wastes most
-			// draws on empty-empty pairs before finding a real move.
 			ta = cur[rng.Intn(len(cur))]
 			tb = topology.TileID(rng.Intn(numTiles))
 			if ta != tb {
-				return ta, tb
+				return ta, tb, nil
 			}
 		}
 	}
 
-	// price returns the would-be cost of swapping (ta, tb) and its delta
-	// against the current cost, leaving cur/occ untouched. The delta path
-	// asks the objective for the O(deg) incremental price; the fallback
-	// applies the swap, runs a full Cost, and undoes it.
-	price := func(ta, tb topology.TileID) (float64, float64, error) {
-		if useDelta {
-			d, err := dobj.SwapDelta(occ, ta, tb)
-			return cost + d, d, err
-		}
-		if useSurr {
-			// Surrogate pricing: the returned delta (and so the Metropolis
-			// decision) lives in the surrogate's own scale.
-			d, err := surr.SwapDelta(occ, ta, tb)
-			return scost + d, d, err
-		}
-		mapping.SwapTiles(cur, occ, ta, tb)
-		c, err := a.Problem.Obj.Cost(cur)
-		mapping.SwapTiles(cur, occ, ta, tb) // undo
-		return c, c - cost, err
-	}
-	// countEval attributes one priced candidate to the tier that priced
-	// it; Evaluations always advances so the poll cadence and the
-	// reported totals are tier-independent.
-	countEval := func() {
-		res.Evaluations++
-		if useSurr {
-			res.SurrogateEvals++
-		} else {
-			res.ExactEvals++
-		}
-	}
-	// accept applies the swap priced at newCost. On the delta path the
-	// tracked cost is Commit's exact recompute of the updated baseline,
-	// not an accumulation of deltas — see the DeltaObjective contract. On
-	// the surrogate path the applied move is immediately re-priced
-	// exactly: the walk may be steered by the surrogate, but the tracked
-	// incumbent (and so Best/BestCost) only ever holds exact values.
-	accept := func(ta, tb topology.TileID, newCost float64) error {
-		mapping.SwapTiles(cur, occ, ta, tb)
-		switch {
-		case useDelta:
-			newCost = dobj.Commit(ta, tb)
-		case useSurr:
-			scost = surr.Commit(ta, tb)
-			c, err := a.Problem.Obj.Cost(cur)
-			if err != nil {
-				return err
-			}
-			res.Evaluations++
-			res.ExactEvals++
-			newCost = c
-		}
-		cost = newCost
-		return nil
-	}
-
-	temp := a.InitialTemp
+	temp := s.initialTemp
 	if temp <= 0 {
 		// Calibration pass: sample some moves and set T0 so that an
 		// average degradation is accepted with probability ~0.9.
 		var sum float64
 		var n int
 		for i := 0; i < 40; i++ {
-			if a.Ctx != nil && res.Evaluations%pollEvery == 0 {
-				if err := pollCtx(a.Ctx); err != nil {
-					return nil, err
-				}
-			}
-			ta, tb := propose()
-			_, d, err := price(ta, tb)
+			ta, tb, err := next()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			countEval()
+			d, err := m.probe(ta, tb)
+			if err != nil {
+				return err
+			}
 			if d > 0 {
 				sum += d
 				n++
@@ -391,16 +315,17 @@ func (a *Annealer) Run() (*Result, error) {
 		} else {
 			// Start in a local minimum w.r.t. sampled moves: any positive
 			// temperature works; pick one proportional to the cost scale.
-			temp = math.Max(cost*0.01, 1e-300)
+			temp = math.Max(m.scale()*0.01, 1e-300)
 		}
 	}
 
 	stalled := 0
-	reheatsLeft := a.Reheats
+	reheatsLeft := s.reheats
 	baseTemp := temp
 	// Telemetry counters: updated on every move decision, emitted in
 	// Progress snapshots, never read by the walk itself — so counting
-	// cannot perturb the RNG stream or the incumbent.
+	// cannot perturb the RNG stream or the incumbent. The calibration
+	// probes count as neither.
 	var accepted, rejected int64
 	for step := 0; step < steps; step++ {
 		if stalled >= stall {
@@ -412,58 +337,28 @@ func (a *Annealer) Run() (*Result, error) {
 			reheatsLeft--
 			baseTemp /= 2
 			temp = baseTemp
-			copy(cur, res.Best)
-			for i := range occ {
-				occ[i] = mapping.Unassigned
-			}
-			for c, tl := range cur {
-				occ[tl] = model.CoreID(c)
-			}
-			cost = res.BestCost
-			if useDelta {
-				// Rebind the incremental baseline to the jump target. The
-				// full recompute also flushes any floating-point drift the
-				// accumulated deltas picked up since the last Reset.
-				c, err := dobj.Reset(cur)
-				if err != nil {
-					return nil, err
-				}
-				cost = c
-				res.BestCost = c
-			}
-			if useSurr {
-				// Rebind the surrogate baseline to the jump target; cost
-				// stays the incumbent's exact BestCost.
-				if scost, err = surr.Reset(cur); err != nil {
-					return nil, err
-				}
+			if err := m.reheat(); err != nil {
+				return err
 			}
 			stalled = 0
 		}
 		improvedThisStep := false
 		for mv := 0; mv < moves; mv++ {
-			if a.Ctx != nil && res.Evaluations%pollEvery == 0 {
-				if err := pollCtx(a.Ctx); err != nil {
-					return nil, err
-				}
-			}
-			ta, tb := propose()
-			c, d, err := price(ta, tb)
+			ta, tb, err := next()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			countEval()
+			d, err := m.probe(ta, tb)
+			if err != nil {
+				return err
+			}
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-				if err := accept(ta, tb, c); err != nil {
-					return nil, err
+				improved, err := m.take(ta, tb)
+				if err != nil {
+					return err
 				}
 				accepted++
-				if cost < res.BestCost {
-					res.BestCost = cost
-					copy(res.Best, cur)
-					res.Improvements++
-					improvedThisStep = true
-				}
+				improvedThisStep = improvedThisStep || improved
 			} else {
 				rejected++
 			}
@@ -474,18 +369,11 @@ func (a *Annealer) Run() (*Result, error) {
 			stalled++
 		}
 		temp *= alpha
-		if a.OnProgress != nil {
-			a.OnProgress(Progress{Engine: "SA", Step: step + 1, Steps: steps,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				SurrogateEvals: res.SurrogateEvals,
-				Accepted:       accepted, Rejected: rejected,
-				BestCost: res.BestCost})
+		if s.onProgress != nil {
+			p := res.progress(s.engine, accepted, rejected)
+			p.Restart, p.Step, p.Steps = s.restart, step+1, steps
+			s.onProgress(p)
 		}
 	}
-	if useDelta || useSurr {
-		if err := repriceBest(a.Problem.Obj, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return nil
 }

@@ -165,6 +165,31 @@ func TestAnnealerInitialMapping(t *testing.T) {
 	}
 }
 
+// TestTabuInitialMapping pins the warm-start contract Tabu shares with
+// the other move engines: Initial replaces the random start, is
+// validated, and is never mutated by the search.
+func TestTabuInitialMapping(t *testing.T) {
+	p, _ := testProblem(t, 4, 3, 10)
+	init := mapping.Identity(10)
+	res, err := (&Tabu{Problem: p, Seed: 3, Iterations: 10, Initial: init}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := p.Obj.Cost(init)
+	if res.InitialCost != want {
+		t.Fatalf("initial cost %g, want the supplied mapping's %g", res.InitialCost, want)
+	}
+	if res.BestCost > want {
+		t.Fatalf("best %g worse than the supplied start %g", res.BestCost, want)
+	}
+	if !mapping.Equal(init, mapping.Identity(10)) {
+		t.Fatal("tabu mutated caller's initial mapping")
+	}
+	if _, err := (&Tabu{Problem: p, Initial: mapping.Mapping{0}}).Run(); err == nil {
+		t.Fatal("short initial mapping accepted")
+	}
+}
+
 func TestAnnealerParameterValidation(t *testing.T) {
 	p, _ := testProblem(t, 2, 2, 4)
 	if _, err := (&Annealer{Problem: p, Alpha: 1.5}).Run(); err == nil {

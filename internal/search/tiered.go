@@ -32,6 +32,8 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 //     the walk itself is approximate, so results are deterministic but
 //     not bit-identical to a surrogate-free run.
 //
+// The move engines never look at the tiers themselves: bindObjective and
+// bindVector (walk.go) choose, once per walk, which tier a walk uses.
 // Engines that use neither tier (exhaustive, random) see only Exact
 // through the plain Objective interface, so wrapping is behaviourally
 // free for them.
@@ -122,44 +124,3 @@ func (t *TieredObjective) ComponentsInto(mp mapping.Mapping, dst []float64) erro
 }
 
 var _ VectorObjective = (*TieredObjective)(nil)
-
-// exactOf unwraps the authoritative pricer: the exact tier of a
-// TieredObjective, obj itself otherwise. bindObjective and the engines'
-// full-price paths go through it so a tiered CDCM run takes exactly the
-// code path a bare CDCM run takes.
-func exactOf(obj Objective) Objective {
-	if t, ok := obj.(*TieredObjective); ok {
-		return t.Exact
-	}
-	return obj
-}
-
-// boundOf returns the tier-A bound of a tiered objective, or nil.
-func boundOf(obj Objective) LowerBoundObjective {
-	if t, ok := obj.(*TieredObjective); ok {
-		return t.Bound
-	}
-	return nil
-}
-
-// surrogateOf returns the tier-B surrogate of a tiered objective, or nil.
-func surrogateOf(obj Objective) DeltaObjective {
-	if t, ok := obj.(*TieredObjective); ok {
-		return t.Surrogate
-	}
-	return nil
-}
-
-// bindBound primes the tier-A bound for a walk starting at mp. It
-// returns (nil, nil) when obj carries no bound — the caller falls back
-// to the unfiltered scan.
-func bindBound(obj Objective, mp mapping.Mapping) (LowerBoundObjective, error) {
-	bnd := boundOf(obj)
-	if bnd == nil {
-		return nil, nil
-	}
-	if _, err := bnd.ResetBound(mp); err != nil {
-		return nil, err
-	}
-	return bnd, nil
-}

@@ -148,52 +148,76 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIncumbentAuditInvariant pins the hoisted incumbent-cost field (the
-// PR-2 drift-guard rule): after every adopted move, on both the full and
-// the delta paths of both neighbourhood engines, inc.cost is bitwise the
-// exactly recomputed cost of inc.cur — never an accumulation of deltas.
+// TestIncumbentAuditInvariant pins the walk's tracked-cost rule (the
+// drift guard): after every applied move — on the full and delta paths
+// of every move engine, the bound-filtered path of the neighbourhood
+// engines and the surrogate path of the annealer — w.cost is bitwise the
+// exactly recomputed cost of w.cur, never an accumulation of deltas, and
+// the occupancy view matches w.cur.
 func TestIncumbentAuditInvariant(t *testing.T) {
 	audits := 0
-	incumbentAudit = func(engine string, obj Objective, inc *incumbent) {
+	var name string
+	walkAudit = func(w *walk) {
 		audits++
-		c, err := exactOf(obj).Cost(inc.cur)
+		c, err := w.obj.Cost(w.cur)
 		if err != nil {
-			t.Fatalf("%s audit: %v", engine, err)
+			t.Fatalf("%s audit: %v", name, err)
 		}
-		if math.Float64bits(c) != math.Float64bits(inc.cost) {
-			t.Fatalf("%s audit %d: inc.cost %x drifted from exact %x",
-				engine, audits, math.Float64bits(inc.cost), math.Float64bits(c))
+		if math.Float64bits(c) != math.Float64bits(w.cost) {
+			t.Fatalf("%s audit %d: w.cost %x drifted from exact %x",
+				name, audits, math.Float64bits(w.cost), math.Float64bits(c))
 		}
-		for core, tile := range inc.cur {
-			if inc.occ[tile] != model.CoreID(core) {
-				t.Fatalf("%s audit: occupancy view drifted at tile %d", engine, tile)
+		for core, tile := range w.cur {
+			if w.occ[tile] != model.CoreID(core) {
+				t.Fatalf("%s audit: occupancy view drifted at tile %d", name, tile)
 			}
 		}
 	}
-	defer func() { incumbentAudit = nil }()
+	defer func() { walkAudit = nil }()
 
 	p, w := testProblem(t, 4, 3, 10)
-	full := p
-	full.Obj = w
-	delta := p
-	delta.Obj = &deltaWireLength{wireLength: *w}
-	tiered := p
-	tiered.Obj = &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}
-	for name, prob := range map[string]Problem{"full": full, "delta": delta, "tiered": tiered} {
-		for _, engine := range []string{"hill", "tabu"} {
-			before := audits
-			var err error
-			if engine == "hill" {
-				_, err = (&HillClimber{Problem: prob, Seed: 3}).Run()
-			} else {
-				_, err = (&Tabu{Problem: prob, Seed: 3, Iterations: 20}).Run()
-			}
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, engine, err)
-			}
-			if audits == before {
-				t.Fatalf("%s/%s: no adopted move audited", name, engine)
-			}
+	withObj := func(obj Objective) Problem {
+		prob := p
+		prob.Obj = obj
+		return prob
+	}
+	engines := map[string]func(Problem) error{
+		"hill": func(prob Problem) error {
+			_, err := (&HillClimber{Problem: prob, Seed: 3}).Run()
+			return err
+		},
+		"tabu": func(prob Problem) error {
+			_, err := (&Tabu{Problem: prob, Seed: 3, Iterations: 20}).Run()
+			return err
+		},
+		"sa": func(prob Problem) error {
+			_, err := (&Annealer{Problem: prob, Seed: 3, TempSteps: 10, MovesPerTemp: 20,
+				StallSteps: 2, Reheats: 2}).Run()
+			return err
+		},
+	}
+	cases := []struct {
+		tier, engine string
+		obj          Objective
+	}{
+		{"full", "hill", w},
+		{"full", "tabu", w},
+		{"full", "sa", w},
+		{"delta", "hill", &deltaWireLength{wireLength: *w}},
+		{"delta", "tabu", &deltaWireLength{wireLength: *w}},
+		{"delta", "sa", &deltaWireLength{wireLength: *w}},
+		{"bound", "hill", &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}},
+		{"bound", "tabu", &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}},
+		{"surrogate", "sa", &TieredObjective{Exact: w, Surrogate: &surrWire{deltaWireLength{wireLength: *w}}}},
+	}
+	for _, tc := range cases {
+		name = tc.tier + "/" + tc.engine
+		before := audits
+		if err := engines[tc.engine](withObj(tc.obj)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if audits == before {
+			t.Fatalf("%s: no applied move audited", name)
 		}
 	}
 }
