@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/appgen"
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exp"
@@ -716,17 +717,18 @@ func BenchmarkParetoFrontCDCM(b *testing.B) {
 
 // BenchmarkTieredSearchCDCM is the two-tier evaluation headline: CDCM
 // searches end to end, single-tier (every candidate fully simulated,
-// the pre-two-tier behaviour) versus tier-A (certified lower-bound
-// filter, bit-identical results) versus tier-A+B (opt-in calibrated
-// surrogate with exact repricing of survivors). Two instances: the
-// paper's Figure-3 example (2x2, light contention — the bound skips
-// most of the hill climber's neighbourhood) and the largest Table-1
+// the pre-two-tier behaviour) versus tier-A (the simulation cutoff,
+// bit-identical results) versus tier-A+B (opt-in calibrated surrogate
+// with exact repricing of survivors). Two instances: the paper's
+// Figure-3 example (2x2, light contention — the cutoff dismisses most of
+// the hill climber's neighbourhood before its first packet) and the
+// largest Table-1
 // workload (12x10 mesh, 99 cores — each exact simulation costs ~200µs,
 // so pricing Metropolis candidates on the surrogate and simulating only
 // accepted moves is a multi-x end-to-end win; CI uploads the pairs as
 // BENCH_twotier.json and the >=2x margin is tracked on the large SA
-// pair). Hill legs pin the skip and exact counters so a bound
-// regression that silently stops filtering fails the benchmark, not
+// pair). Hill legs pin the skip and exact counters so a cutoff
+// regression that silently stops cutting fails the benchmark, not
 // just the trend line.
 func BenchmarkTieredSearchCDCM(b *testing.B) {
 	fig3 := func(b *testing.B) (*topology.Mesh, noc.Config, *model.CDCG) {
@@ -776,7 +778,7 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 				b.Fatal(err)
 			}
 			if res.Search.BoundSkips == 0 {
-				b.Fatal("tier-A bound never fired on Figure 3")
+				b.Fatal("tier-A cutoff never cut a candidate at its start on Figure 3")
 			}
 			if i == 0 {
 				b.ReportMetric(float64(res.Search.BoundSkips), "skips")
@@ -821,19 +823,52 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 	})
 }
 
-// BenchmarkWormholeSimLarge measures one CDCM simulation of the largest
-// Table-1 instance (99 cores, 446 packets on 12x10).
+// BenchmarkWormholeSimLarge times the CDCM evaluator's hot path: one
+// allocation-free RunScratch simulation, cycling through a seeded sample
+// of random mappings on a warm scratch, on the largest Table-1 instance
+// (99 cores, 446 packets on 12x10) and on the image encoder (12 cores,
+// 88 packets on 3x4) whose hill climbs are the daemon's slowest jobs.
 func BenchmarkWormholeSimLarge(b *testing.B) {
 	mesh, cfg, g := largeInstance(b)
-	sim, err := wormhole.NewSimulator(mesh, cfg, g)
+	img, err := apps.ImageEncoder(12, 88, 110000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mp := mapping.Identity(g.NumCores())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(mp); err != nil {
-			b.Fatal(err)
-		}
+	mesh34, err := topology.NewMesh(3, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		mesh *topology.Mesh
+		g    *model.CDCG
+	}{
+		{"tgff-12x10", mesh, g},
+		{"imgenc-3x4", mesh34, img},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sim, err := wormhole.NewSimulator(bc.mesh, cfg, bc.g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc := sim.NewScratch()
+			rng := rand.New(rand.NewSource(1))
+			mps := make([]mapping.Mapping, 64)
+			for i := range mps {
+				if mps[i], err = mapping.Random(rng, bc.g.NumCores(), bc.mesh.NumTiles()); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sim.RunScratch(mps[i], sc); err != nil { // grow the scratch
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunScratch(mps[i%len(mps)], sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -30,8 +30,8 @@
 // instances grow (see README "Incremental (delta) evaluation"). CDCM
 // keeps the full simulator path — contention is global, so no cheap swap
 // delta exists — but that simulation is allocation-free in steady state:
-// wormhole.Simulator precomputes the full route table and dense
-// port/link adjacency tables once and is immutable afterwards, while all
+// wormhole.Simulator compiles every route into a table of (output port,
+// link) hops once and is immutable afterwards, while all
 // mutable run state (busy lists, event heap, reusable Result backing)
 // lives in a per-lane wormhole.Scratch. core.CDCM.Clone hands each
 // search worker its own scratch lane over the shared simulator core, so
@@ -41,13 +41,16 @@
 // trace/Gantt renderers (see README "Allocation-free CDCM evaluation").
 //
 // On top of the simulator sits two-tier CDCM evaluation
-// (search.TieredObjective). Tier A is a certified lower bound: the
-// exact dynamic energy plus static energy over the uncontended
-// critical path is provably ≤ the simulated contended cost, so the
-// strict-improvement engines (hill climber, tabu) skip any swap whose
-// bound already fails the incumbent without running the simulator —
-// always on under core.Explore, bit-identical by construction, and
-// allocation-free (//nocvet:noalloc) on the bound-compare path. Tier B
+// (search.TieredObjective). Tier A is the simulator's cutoff
+// (wormhole.Simulator.RunCutoff, core.CDCM.CostCutoff): the
+// strict-improvement engines (hill climber, tabu) run each candidate's
+// simulation against the texec past which it provably fails the
+// incumbent threshold — exact dynamic energy plus static energy over a
+// running lower bound on texec, the uncontended critical path before
+// the first packet and each delivery plus its contention-free
+// dependence tail after it — and stop it as soon as the bound gets
+// there. It is always on under core.Explore, bit-identical by
+// construction, and allocation-free (//nocvet:noalloc) end to end. Tier B
 // is an opt-in calibrated surrogate (core.Options.Surrogate, default
 // off) for SA and ParetoSA: an analytic predictor least-squares-fitted
 // per instance against a deterministic, seed-keyed sample of exact
@@ -65,7 +68,8 @@
 //
 // The pricing tier is chosen in one place: when a move engine starts a
 // walk, search binds it once (walk.go) to full, delta or surrogate
-// pricing plus the optional tier-A bound, and the walk owns the working
+// pricing, with full pricing through the tier-A cutoff on the
+// strict-improvement scans, and the walk owns the working
 // mapping, the exact tracked cost and the evaluation bookkeeping. The
 // engines keep only their own rules: Annealer and ParetoSA share one
 // annealing schedule (ParetoSA runs it without reheats over a

@@ -244,6 +244,7 @@ type Metrics struct {
 }
 
 // Total returns ENoC in joules.
+//nocvet:noalloc
 func (m Metrics) Total() float64 { return m.Energy.Total() }
 
 // CDCM is the communication dependence and computation model evaluator:
@@ -268,6 +269,7 @@ type CDCM struct {
 
 	sim *wormhole.Simulator
 	sc  *wormhole.Scratch
+	cut cdcmCutoff // the limiter of the current CostCutoff call
 }
 
 // NewCDCM validates the inputs and builds the evaluator.
@@ -316,6 +318,7 @@ func (c *CDCM) EvaluateWith(mp mapping.Mapping, tech energy.Tech) (Metrics, erro
 }
 
 // price converts a simulation result into Metrics under tech.
+//nocvet:noalloc
 func (c *CDCM) price(res *wormhole.Result, tech energy.Tech) Metrics {
 	var rb, lb int64
 	for _, b := range res.RouterBits {

@@ -287,23 +287,18 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			cdcmBase.Evals = opts.EvalCounter
 			newObjective = func() (search.Objective, error) { return cdcmBase.Clone(), nil }
 
-			// Two-tier seam (search.TieredObjective). Tier A — the certified
-			// lower bound — attaches unconditionally to the strict-improvement
-			// engines: it is bit-identical by construction, so there is no
-			// reason to make it optional. Tier B — the calibrated surrogate —
-			// attaches only on request to the Metropolis engines that can
-			// exact-reprice their accepted moves.
-			needBound := strategy == StrategyCDCM &&
+			// Two-tier seam (search.TieredObjective). Tier A — the
+			// simulation cutoff — attaches unconditionally to the
+			// strict-improvement engines: it is bit-identical by
+			// construction, so there is no reason to make it optional.
+			// Tier B — the calibrated surrogate — attaches only on request
+			// to the Metropolis engines that can exact-reprice their
+			// accepted moves.
+			needCutoff := strategy == StrategyCDCM &&
 				(opts.Method == MethodHill || opts.Method == MethodTabu)
 			needSurr := opts.Surrogate &&
 				(strategy == StrategyPareto || (strategy == StrategyCDCM && opts.Method == MethodSA))
-			if needBound || needSurr {
-				var lbSkel *texecLB
-				if needBound {
-					if lbSkel, err = newTexecLB(cfg, g); err != nil {
-						return nil, err
-					}
-				}
+			if needCutoff || needSurr {
 				var fit surrogateFit
 				if needSurr {
 					// Fitted once, before any lane exists: every worker lane
@@ -315,13 +310,10 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 					}
 				}
 				newObjective = func() (search.Objective, error) {
-					t := &search.TieredObjective{Exact: cdcmBase.Clone()}
-					if needBound {
-						bnd, err := newCDCMBound(mesh, cfg, tech, g, lbSkel)
-						if err != nil {
-							return nil, err
-						}
-						t.Bound = bnd
+					lane := cdcmBase.Clone()
+					t := &search.TieredObjective{Exact: lane}
+					if needCutoff {
+						t.Cutoff = lane
 					}
 					if needSurr {
 						surr, err := newCDCMSurrogate(mesh, cfg, tech, g, fit)

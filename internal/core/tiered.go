@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/energy"
@@ -11,24 +12,23 @@ import (
 	"repro/internal/noc"
 	"repro/internal/search"
 	"repro/internal/topology"
+	"repro/internal/wormhole"
 )
 
 // This file implements the two cheap tiers of search.TieredObjective for
 // CDCM, whose exact pricing is a full wormhole simulation per candidate:
 //
-//   - cdcmBound (tier A) is a certified lower bound on ENoC. The dynamic
-//     term is exact — it folds the same integer traffic aggregates the
-//     simulator produces (pinned by the CWM/CDCM dynamic-agreement tests)
-//     — and the static term replaces the simulated texec with the
-//     dependence graph's uncontended critical path, which can only
-//     undershoot it: the wormhole network can delay a packet but never
-//     accelerate it below its contention-free duration. Every float on
-//     the way from the critical-path cycle count to the bound goes
-//     through the same monotone pipeline the exact pricer uses
-//     (CyclesToSeconds, StaticEnergy, one final addition), so
-//     bound ≤ exact holds on the computed float64s, which is what lets
-//     HillClimber/Tabu skip bound-rejected swaps with a bit-identical
-//     trajectory.
+//   - CostCutoff (tier A) runs that simulation against the texec limit
+//     past which the candidate provably cannot beat the scan's
+//     threshold. The dynamic term is exact before the first packet moves
+//     — it depends only on the routes — and the simulator keeps a
+//     running lower bound on texec (the uncontended critical path at the
+//     start, then each delivery plus its contention-free DAG tail), so a
+//     loser stops as soon as that bound reaches the limit. The limit is
+//     read off the exact pricer's own monotone float pipeline
+//     (CyclesToSeconds, StaticEnergy, one addition, one subtraction), so
+//     a cut is decided on the computed float64s, which is what lets
+//     HillClimber/Tabu cut candidates with a bit-identical trajectory.
 //   - cdcmSurrogate (tier B) is a calibrated analytic predictor of ENoC:
 //     texec is approximated as an affine function of the uncontended
 //     hop-latency aggregate L (CWM's latency axis), least-squares fitted
@@ -38,188 +38,100 @@ import (
 //     and carries no certification: the Metropolis engines that walk on
 //     it re-price everything that can reach a reported result exactly.
 
-// texecLB is the immutable skeleton of the critical-path computation:
-// the dependence DAG in topological order with CSR successor lists, the
-// per-packet constants, and the per-hop cycle coefficients. One skeleton
-// is shared read-only by every worker lane's cdcmBound.
-type texecLB struct {
-	order     []int32 // topological order of packet vertices
-	succStart []int32 // CSR offsets into succ (len = packets+1)
-	succ      []int32
-	pSrc      []int32 // per-packet source core
-	pDst      []int32 // per-packet destination core
-	pFlits    []int64 // per-packet flit count
-	pCompute  []int64 // per-packet computation cycles (t_aq)
-	trl       int64   // tr + tl, per router traversed
-	vadj      int64   // tTSV − tl, per vertical hop
-	tl        int64   // tl, per payload flit
-}
+var _ search.CutoffObjective = (*CDCM)(nil)
 
-// newTexecLB builds the skeleton from the application's dependence graph.
-func newTexecLB(cfg noc.Config, g *model.CDCG) (*texecLB, error) {
-	dg, err := g.DepGraph()
-	if err != nil {
-		return nil, err
-	}
-	order, err := dg.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumPackets()
-	lb := &texecLB{
-		order:     make([]int32, n),
-		succStart: make([]int32, n+1),
-		pSrc:      make([]int32, n),
-		pDst:      make([]int32, n),
-		pFlits:    make([]int64, n),
-		pCompute:  make([]int64, n),
-		trl:       cfg.RoutingCycles + cfg.LinkCycles,
-		vadj:      cfg.TSVCycles() - cfg.LinkCycles,
-		tl:        cfg.LinkCycles,
-	}
-	for i, v := range order {
-		lb.order[i] = int32(v)
-	}
-	for v := 0; v < n; v++ {
-		lb.succStart[v+1] = lb.succStart[v] + int32(len(dg.Succ(v)))
-	}
-	lb.succ = make([]int32, lb.succStart[n])
-	for v := 0; v < n; v++ {
-		at := int(lb.succStart[v])
-		for j, s := range dg.Succ(v) {
-			lb.succ[at+j] = int32(s)
-		}
-	}
-	for v, p := range g.Packets {
-		lb.pSrc[v] = int32(p.Src)
-		lb.pDst[v] = int32(p.Dst)
-		lb.pFlits[v] = cfg.Flits(p.Bits)
-		lb.pCompute[v] = p.Compute
-	}
-	return lb, nil
-}
-
-// cdcmBound implements search.LowerBoundObjective for CDCM. It owns a
-// private CWM (never the walk's delta evaluator — CDCM runs have none)
-// whose integer aggregates supply the exact dynamic term and whose
-// route caches supply the per-packet hop counts; dist is the lane's
-// critical-path scratch. Stateful between ResetBound and the last
-// CommitBound, one instance per worker lane.
-type cdcmBound struct {
-	cwm  *CWM
-	lb   *texecLB
-	dist []int64
-}
-
-var _ search.LowerBoundObjective = (*cdcmBound)(nil)
-
-// newCDCMBound builds one lane's bound evaluator over a shared skeleton.
-func newCDCMBound(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
-	g *model.CDCG, lb *texecLB) (*cdcmBound, error) {
-	cwm, err := NewCWM(mesh, cfg, tech, g.ToCWG())
-	if err != nil {
-		return nil, err
-	}
-	return &cdcmBound{cwm: cwm, lb: lb, dist: make([]int64, g.NumPackets())}, nil
-}
-
-// ResetBound implements search.LowerBoundObjective: it binds mp as the
-// incremental baseline (validating it, via CWM.Reset) and returns its
-// bound.
-func (b *cdcmBound) ResetBound(mp mapping.Mapping) (float64, error) {
-	dyn, err := b.cwm.Reset(mp)
-	if err != nil {
-		return 0, err
-	}
-	lp, err := b.lpCycles(-1, -1)
-	if err != nil {
-		return 0, err
-	}
-	c := b.cwm
-	return dyn + c.Tech.StaticEnergy(c.numTiles, c.Cfg.CyclesToSeconds(lp)), nil
-}
-
-// SwapBound implements search.LowerBoundObjective: the certified bound of
-// the mapping obtained by exchanging the occupants of ta and tb, priced
-// without applying the swap. It returns the absolute bound recomputed
-// from the swapped state's aggregates — never tracked-value-plus-delta —
-// so the float64 certificate bound ≤ exact survives rounding (see
-// search.LowerBoundObjective).
+// CostCutoff implements search.CutoffObjective: mp's exact ENoC, as Cost
+// returns it, unless the simulation proves (ENoC − base) ≥ maxDelta
+// first. A run cut before its first packet did no simulation at all and
+// is not counted in Evals.
 //nocvet:noalloc
-func (b *cdcmBound) SwapBound(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
-	c := b.cwm
-	if c.bound == nil {
-		return 0, errors.New("core: SwapBound before ResetBound")
-	}
-	dR, dV, err := c.swapAgg(occ, ta, tb)
+func (c *CDCM) CostCutoff(mp mapping.Mapping, base, maxDelta float64) (float64, search.Cut, error) {
+	c.cut = cdcmCutoff{c: c, base: base, maxDelta: maxDelta}
+	res, simulated, err := c.sim.RunCutoff(mp, c.sc, &c.cut)
 	if err != nil {
-		return 0, err
+		return 0, search.NotCut, err
 	}
-	rb, vb := c.routerBits+dR, c.tsvBits+dV
-	dyn := c.Tech.DynamicFromTraffic3D(rb, rb-c.totalBits, vb, c.coreBits)
-	lp, err := b.lpCycles(ta, tb)
-	if err != nil {
-		return 0, err
+	if res == nil && simulated == 0 {
+		return 0, search.CutAtStart, nil
 	}
-	return dyn + c.Tech.StaticEnergy(c.numTiles, c.Cfg.CyclesToSeconds(lp)), nil
+	if c.Evals != nil {
+		c.Evals.Inc()
+	}
+	if res == nil {
+		return 0, search.CutInRun, nil
+	}
+	return c.price(res, c.Tech).Total(), search.NotCut, nil
 }
 
-// CommitBound implements search.LowerBoundObjective: folds an accepted
-// swap into the baseline.
-func (b *cdcmBound) CommitBound(ta, tb topology.TileID) { b.cwm.Commit(ta, tb) }
+// cdcmCutoff is the wormhole.Limiter of one CostCutoff call: the
+// threshold it prices against and the lane whose pricing decides it.
+type cdcmCutoff struct {
+	c              *CDCM
+	base, maxDelta float64
+}
 
-// lpCycles returns the uncontended critical path of the dependence DAG in
-// cycles under the baseline mapping with the occupants of ta and tb
-// exchanged (pass ta = tb = -1 for the unpatched baseline). Packet v
-// contributes its computation time plus its contention-free network
-// duration K·(tr+tl) + V·(tTSV−tl) + n·tl — exactly the duration the
-// wormhole simulator charges an unobstructed packet, which contention
-// (and fault detours, whose routes are hop-wise at least as long) can
-// only increase. The patch trick prices a swap without touching the
-// baseline, keeping the scan allocation-free.
+// loses is the tier-A certificate, evaluated exactly as Cost prices a
+// texec of the given cycles: (dynamic + static) − base ≥ maxDelta. It is
+// monotone in cycles, since every step of the pipeline is.
 //nocvet:noalloc
-func (b *cdcmBound) lpCycles(ta, tb topology.TileID) (int64, error) {
-	lb := b.lb
-	c := b.cwm
-	bound := c.bound
-	dist := b.dist
-	clear(dist)
-	var best int64
-	for _, vi := range lb.order {
-		v := int(vi)
-		st := bound[lb.pSrc[v]]
-		dt := bound[lb.pDst[v]]
-		if st == ta {
-			st = tb
-		} else if st == tb {
-			st = ta
+func (k *cdcmCutoff) loses(dyn float64, cycles int64) bool {
+	c := k.c
+	return dyn+c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(cycles))-k.base >= k.maxDelta
+}
+
+// Limit implements wormhole.Limiter: the smallest texec at which loses
+// holds, or math.MaxInt64 when none does. The search gallops away from
+// the algebraic estimate until the answer is bracketed and bisects the
+// bracket, so the answer is exact whatever the rounding of the estimate;
+// an estimate within one cycle, the usual case, costs two certificate
+// evaluations.
+//nocvet:noalloc
+func (k *cdcmCutoff) Limit(t wormhole.Traffic) int64 {
+	if math.IsInf(k.maxDelta, 1) {
+		return math.MaxInt64
+	}
+	c := k.c
+	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
+	var g int64
+	if perCycle := c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(1)); perCycle > 0 {
+		est := math.Ceil((k.maxDelta + k.base - dyn) / perCycle)
+		switch {
+		case est >= 1<<62:
+			g = 1 << 62
+		case est > 0:
+			g = int64(est)
 		}
-		if dt == ta {
-			dt = tb
-		} else if dt == tb {
-			dt = ta
-		}
-		k, err := c.routers(st, dt)
-		if err != nil {
-			return 0, err
-		}
-		w := lb.pCompute[v] + int64(k)*lb.trl + lb.pFlits[v]*lb.tl
-		if !c.flat {
-			// routers filled the pair's cache line, so the vertical hop
-			// count is valid here (same guarantee Cost relies on).
-			w += int64(c.vCache[int(st)*c.numTiles+int(dt)]) * lb.vadj
-		}
-		d := dist[v] + w
-		if d > best {
-			best = d
-		}
-		for _, s := range lb.succ[lb.succStart[v]:lb.succStart[v+1]] {
-			if d > dist[s] {
-				dist[s] = d
+	}
+	// lo never loses (-1: below every texec); hi loses (MaxInt64: none).
+	lo, hi := int64(-1), int64(math.MaxInt64)
+	if k.loses(dyn, g) {
+		hi = g
+		for step := int64(1); step <= 1<<62 && hi-step > lo; step *= 2 {
+			if !k.loses(dyn, hi-step) {
+				lo = hi - step
+				break
 			}
+			hi -= step
+		}
+	} else {
+		lo = g
+		for step := int64(1); step <= 1<<62 && lo+step < hi && lo+step > lo; step *= 2 {
+			if k.loses(dyn, lo+step) {
+				hi = lo + step
+				break
+			}
+			lo += step
 		}
 	}
-	return best, nil
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if k.loses(dyn, mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // surrogateFit is the calibrated texec predictor: texec̃ = A + B·L cycles,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/search"
 	"repro/internal/topology"
+	"repro/internal/wormhole"
 )
 
 // tieredGrid is one (mesh, application) pair of the two-tier test matrix;
@@ -61,19 +62,17 @@ func tieredCfg() noc.Config {
 	return cfg
 }
 
-// TestTierAHillTabuBitIdentical is the tentpole's central contract: a
-// HillClimber or Tabu run over TieredObjective{Exact, Bound} must retrace
-// the bare-CDCM run bit for bit — same Best, same BestCost, same
-// Evaluations and Improvements — while actually skipping bound-rejected
-// swaps (BoundSkips > 0). Covered on 2-D mesh, 3-D mesh and 3-D torus.
+// TestTierAHillTabuBitIdentical is tier A's central contract: a
+// HillClimber or Tabu run over TieredObjective{Exact, Cutoff} must
+// retrace the bare-CDCM run bit for bit — same Best, same BestCost, same
+// Evaluations and Improvements — while actually cutting candidates, both
+// before their first packet (BoundSkips > 0) and part-way through (fewer
+// simulated packets than the bare run). Covered on 2-D mesh, 3-D mesh
+// and 3-D torus.
 func TestTierAHillTabuBitIdentical(t *testing.T) {
 	cfg, tech := tieredCfg(), energy.Tech007
 	for _, grid := range tieredGrids(t) {
 		cdcm, err := NewCDCM(grid.mesh, cfg, tech, grid.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lbSkel, err := newTexecLB(cfg, grid.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +92,8 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 		}
 		for _, engine := range []string{"hill", "tabu"} {
 			bare := run(engine, cdcm.Clone())
-			bnd, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tiered := run(engine, &search.TieredObjective{Exact: cdcm.Clone(), Bound: bnd})
+			cuts := &countedCutoff{c: cdcm.Clone()}
+			tiered := run(engine, &search.TieredObjective{Exact: cuts.c, Cutoff: cuts})
 
 			if !mapping.Equal(bare.Best, tiered.Best) {
 				t.Fatalf("%s/%s: tiered best %v != bare best %v", grid.name, engine, tiered.Best, bare.Best)
@@ -112,7 +108,13 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 					bare.Evaluations, bare.Improvements)
 			}
 			if tiered.BoundSkips == 0 {
-				t.Fatalf("%s/%s: bound filter never skipped a swap", grid.name, engine)
+				t.Fatalf("%s/%s: the cutoff never cut a candidate at its start", grid.name, engine)
+			}
+			if cuts.n[search.CutInRun] == 0 {
+				t.Fatalf("%s/%s: the cutoff never cut a running simulation", grid.name, engine)
+			}
+			if got := int64(cuts.n[search.CutAtStart]); got != tiered.BoundSkips {
+				t.Fatalf("%s/%s: %d start cuts, BoundSkips %d", grid.name, engine, got, tiered.BoundSkips)
 			}
 			if bare.BoundSkips != 0 || bare.SurrogateEvals != 0 {
 				t.Fatalf("%s/%s: bare run reports tier counters (%d skips, %d surrogate)",
@@ -128,6 +130,18 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 	}
 }
 
+// countedCutoff tallies the outcomes of a lane's cutoff calls.
+type countedCutoff struct {
+	c *CDCM
+	n [3]int
+}
+
+func (o *countedCutoff) CostCutoff(mp mapping.Mapping, base, maxDelta float64) (float64, search.Cut, error) {
+	c, cut, err := o.c.CostCutoff(mp, base, maxDelta)
+	o.n[cut]++
+	return c, cut, err
+}
+
 func checkTierSum(t *testing.T, name string, res *search.Result) {
 	t.Helper()
 	if got := res.ExactEvals + res.BoundSkips + res.SurrogateEvals; got != res.Evaluations {
@@ -135,20 +149,17 @@ func checkTierSum(t *testing.T, name string, res *search.Result) {
 	}
 }
 
-// TestTierABoundCertified is the property test behind the skip rule: the
-// tier-A bound never exceeds the exact simulated cost — across 2-D/3-D/
-// torus grids, both buffer policies, and fault sets routed with
-// RouteFault. The bound is computed from the intact topology even when
-// the exact evaluation is faulted: detour routes are hop-wise at least
-// minimal, so the uncontended critical path (and the dynamic term) can
-// only grow under faults.
+// TestTierABoundCertified is the property test behind the cut rule:
+// every cut the cutoff makes is confirmed by a full Cost — on the
+// computed float64s, cost − base ≥ maxDelta — and every uncut call
+// returns Cost bit for bit, across 2-D/3-D/torus grids, both buffer
+// policies, and fault sets routed with RouteFault. The thresholds
+// include each candidate's own exact delta and the next float above it,
+// where a cut is only just right and only just wrong.
 func TestTierABoundCertified(t *testing.T) {
 	tech := energy.Tech007
+	var outcomes [3]int
 	for _, grid := range tieredGrids(t) {
-		lbSkel, err := newTexecLB(tieredCfg(), grid.g)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var faultSets []*topology.FaultSet
 		faultSets = append(faultSets, nil)
 		fs, err := topology.GenerateFaults(grid.mesh, 0.1, 5)
@@ -175,10 +186,7 @@ func TestTierABoundCertified(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bound, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
-				if err != nil {
-					t.Fatal(err)
-				}
+				lane := exact.Clone()
 				rng := rand.New(rand.NewSource(11))
 				tiles := grid.mesh.NumTiles()
 				for trial := 0; trial < 12; trial++ {
@@ -186,48 +194,96 @@ func TestTierABoundCertified(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					lb, err := bound.ResetBound(mp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cost, err := exact.Cost(mp)
+					base, err := exact.Cost(mp)
 					if errors.Is(err, topology.ErrUnreachable) {
 						continue
 					}
 					if err != nil {
 						t.Fatalf("%s trial %d: %v", name, trial, err)
 					}
-					if lb > cost {
-						t.Fatalf("%s trial %d: bound %.17g exceeds exact %.17g", name, trial, lb, cost)
-					}
-					occ := mp.Occupants(tiles)
 					for s := 0; s < 8; s++ {
 						ta := topology.TileID(rng.Intn(tiles))
 						tb := topology.TileID(rng.Intn(tiles))
 						if ta == tb {
 							continue
 						}
-						slb, err := bound.SwapBound(occ, ta, tb)
-						if err != nil {
-							t.Fatal(err)
-						}
 						sm := mp.Clone()
-						socc := mp.Occupants(tiles)
-						mapping.SwapTiles(sm, socc, ta, tb)
-						scost, err := exact.Cost(sm)
+						mapping.SwapTiles(sm, mp.Occupants(tiles), ta, tb)
+						cost, err := exact.Cost(sm)
 						if errors.Is(err, topology.ErrUnreachable) {
+							if _, _, cerr := lane.CostCutoff(sm, base, 0); !errors.Is(cerr, topology.ErrUnreachable) {
+								t.Fatalf("%s trial %d swap %d: cutoff error %v, Cost says unreachable", name, trial, s, cerr)
+							}
 							continue
 						}
 						if err != nil {
 							t.Fatalf("%s trial %d swap %d: %v", name, trial, s, err)
 						}
-						if slb > scost {
-							t.Fatalf("%s trial %d swap (%d,%d): bound %.17g exceeds exact %.17g",
-								name, trial, ta, tb, slb, scost)
+						d := cost - base
+						for _, maxDelta := range []float64{d, math.Nextafter(d, math.Inf(1)), 0,
+							-math.Abs(d) / 2, 2 * math.Abs(d), math.Inf(1), math.Inf(-1)} {
+							c, cut, err := lane.CostCutoff(sm, base, maxDelta)
+							if err != nil {
+								t.Fatalf("%s trial %d swap (%d,%d): %v", name, trial, ta, tb, err)
+							}
+							outcomes[cut]++
+							if cut != search.NotCut {
+								if !(cost-base >= maxDelta) {
+									t.Fatalf("%s trial %d swap (%d,%d): cut (%d) at maxDelta %.17g, but cost %.17g − base %.17g = %.17g",
+										name, trial, ta, tb, cut, maxDelta, cost, base, cost-base)
+								}
+								continue
+							}
+							if math.Float64bits(c) != math.Float64bits(cost) {
+								t.Fatalf("%s trial %d swap (%d,%d): uncut cutoff price %x != Cost %x",
+									name, trial, ta, tb, math.Float64bits(c), math.Float64bits(cost))
+							}
 						}
 					}
 				}
 			}
+		}
+	}
+	for cut, n := range outcomes {
+		if n == 0 {
+			t.Fatalf("the matrix never produced outcome %d (outcomes %v)", cut, outcomes)
+		}
+	}
+}
+
+// TestCutoffLimitExact pins the limit search against the certificate it
+// inverts: the returned texec loses and the one below it does not, for
+// thresholds around real costs and at the extremes.
+func TestCutoffLimitExact(t *testing.T) {
+	grid := tieredGrids(t)[1]
+	cdcm, err := NewCDCM(grid.mesh, tieredCfg(), energy.Tech007, grid.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	tr := wormhole.Traffic{RouterBits: 90000, LinkBits: 50000, TSVBits: 8000, CoreBits: 80000}
+	dyn := cdcm.Tech.DynamicFromTraffic3D(tr.RouterBits, tr.LinkBits, tr.TSVBits, tr.CoreBits)
+	perCycle := cdcm.Tech.StaticEnergy(grid.mesh.NumTiles(), cdcm.sim.Cfg.CyclesToSeconds(1))
+	for i := 0; i < 2000; i++ {
+		base := dyn + perCycle*float64(rng.Int63n(1e6))
+		maxDelta := perCycle * (rng.Float64()*2e6 - 1e6)
+		switch i {
+		case 0:
+			maxDelta = math.Inf(-1)
+		case 1:
+			maxDelta = math.Inf(1)
+		case 2:
+			maxDelta = math.NaN()
+		case 3:
+			maxDelta = 1e300
+		}
+		k := cdcmCutoff{c: cdcm, base: base, maxDelta: maxDelta}
+		lim := k.Limit(tr)
+		if lim != math.MaxInt64 && !k.loses(dyn, lim) {
+			t.Fatalf("case %d: limit %d does not lose (base %g, maxDelta %g)", i, lim, base, maxDelta)
+		}
+		if lim > 0 && k.loses(dyn, lim-1) {
+			t.Fatalf("case %d: limit %d is not the smallest losing texec (base %g, maxDelta %g)", i, lim, base, maxDelta)
 		}
 	}
 }
@@ -491,8 +547,8 @@ func TestSurrogateIgnoredWhereInapplicable(t *testing.T) {
 }
 
 // TestExploreHillTabuUsesBound pins the Explore wiring: CDCM hill/tabu
-// runs attach tier A (BoundSkips > 0) and still reproduce the bare-engine
-// trajectory bit for bit.
+// runs attach the tier-A cutoff (BoundSkips > 0) and still reproduce the
+// bare-engine trajectory bit for bit.
 func TestExploreHillTabuUsesBound(t *testing.T) {
 	mesh, g := deltaInstance(t, 3, 3, 8)
 	cfg, tech := noc.Default(), energy.Tech007
@@ -506,7 +562,7 @@ func TestExploreHillTabuUsesBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Search.BoundSkips == 0 {
-			t.Fatalf("%v: Explore did not attach the tier-A bound", mth)
+			t.Fatalf("%v: Explore did not attach the tier-A cutoff", mth)
 		}
 		checkTierSum(t, mth.String(), res.Search)
 		prob := search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm.Clone()}

@@ -43,8 +43,8 @@ func (p trajectoryPin) String() string {
 }
 
 // TestEngineTrajectoryPins pins absolute outcomes of every move engine
-// under every pricing tier — full, CWM swap delta, tier-A certified
-// bound, tier-B surrogate, reheating — plus the front engine and both
+// under every pricing tier — full, CWM swap delta, tier-A simulation
+// cutoff, tier-B surrogate, reheating — plus the front engine and both
 // exhaustive engines. The other bit-identity tests are relative (bound
 // against bare, delta against full, one worker against many), so a
 // change that moves both sides the same way passes them; these values
@@ -57,16 +57,9 @@ func TestEngineTrajectoryPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbSkel, err := newTexecLB(cfg, grid.g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tieredCDCM := func() search.Objective {
-		bnd, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &search.TieredObjective{Exact: cdcm.Clone(), Bound: bnd}
+		lane := cdcm.Clone()
+		return &search.TieredObjective{Exact: lane, Cutoff: lane}
 	}
 	cwm := func() search.Objective {
 		c, err := NewCWM(grid.mesh, cfg, tech, grid.g.ToCWG())

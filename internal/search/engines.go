@@ -197,7 +197,7 @@ func (h *HillClimber) Run() (*Result, error) {
 			initial = nil
 		}
 		var err error
-		if w, err = h.Problem.startWalk(rng, initial, boundTier, res); err != nil {
+		if w, err = h.Problem.startWalk(rng, initial, cutoffTier, res); err != nil {
 			return nil, err
 		}
 		if r == 0 {
@@ -271,7 +271,7 @@ func (t *Tabu) Run() (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(t.Seed))
 	res := &Result{}
-	w, err := t.Problem.startWalk(rng, t.Initial, boundTier, res)
+	w, err := t.Problem.startWalk(rng, t.Initial, cutoffTier, res)
 	if err != nil {
 		return nil, err
 	}

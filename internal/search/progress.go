@@ -23,9 +23,10 @@ type Progress struct {
 	// parallel engines: in this restart/shard), whatever tier priced
 	// them; Evaluations == ExactEvals + BoundSkips + SurrogateEvals.
 	Evaluations int64
-	// ExactEvals counts pricings that ran the exact objective;
-	// BoundSkips counts candidates the tier-A certified lower bound
-	// dismissed without an exact pricing; SurrogateEvals counts
+	// ExactEvals counts pricings that started the exact objective (for
+	// CDCM, simulations started, cut part-way or complete); BoundSkips
+	// counts candidates the tier-A cutoff dismissed before any exact
+	// work (for CDCM, before their first packet); SurrogateEvals counts
 	// candidates priced by the tier-B calibrated surrogate. Runs without
 	// tiers report ExactEvals == Evaluations and zeros elsewhere. Each
 	// counter is monotone over a run, like Evaluations.

@@ -98,13 +98,15 @@ type Result struct {
 	// Evaluations counts candidate pricings, whatever tier priced them:
 	// Evaluations == ExactEvals + BoundSkips + SurrogateEvals always
 	// holds, and a tier-A run's Evaluations equals the unfiltered run's
-	// (skipped candidates still count — they were priced, by the bound).
+	// (cut candidates still count — they were priced, by the cutoff).
 	Evaluations int64
-	// ExactEvals counts pricings that ran the exact objective. A run
-	// without tiers has ExactEvals == Evaluations.
+	// ExactEvals counts pricings that started the exact objective — for
+	// CDCM, simulations started, whether the tier-A cutoff stopped them
+	// part-way or they ran to completion. A run without tiers has
+	// ExactEvals == Evaluations.
 	ExactEvals int64
-	// BoundSkips counts candidates dismissed by the tier-A certified
-	// lower bound without an exact pricing.
+	// BoundSkips counts candidates the tier-A cutoff dismissed before
+	// any exact work: for CDCM, before their first packet.
 	BoundSkips int64
 	// SurrogateEvals counts candidates priced by the tier-B calibrated
 	// surrogate instead of the exact objective.

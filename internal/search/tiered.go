@@ -4,8 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/mapping"
-	"repro/internal/model"
-	"repro/internal/topology"
 )
 
 // errNoVector reports a vector call on a tiered objective whose exact
@@ -17,12 +15,12 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 // paying the exact cost (a full wormhole simulation for CDCM) on every
 // candidate.
 //
-//   - Tier A, LowerBoundObjective, is a certified lower bound: for any
-//     candidate, Bound ≤ exact Cost, bitwise on the computed float64s.
-//     The strict-improvement engines (HillClimber, Tabu) use it to skip
-//     swaps whose bound already proves they cannot beat the incumbent
-//     threshold — the skipped candidates are exactly the ones the exact
-//     scan would have rejected, so Best, BestCost and the accept/reject
+//   - Tier A, CutoffObjective, is the exact pricing itself run against a
+//     threshold: it stops as soon as it proves, on the computed float64s,
+//     that a candidate cannot beat the incumbent threshold. The
+//     strict-improvement engines (HillClimber, Tabu) price their scans
+//     through it — the cut candidates are exactly the ones the exact scan
+//     would have rejected, so Best, BestCost and the accept/reject
 //     trajectory stay bit-identical to the unfiltered run.
 //   - Tier B, Surrogate, is an opt-in calibrated approximation (a
 //     DeltaObjective fitted against exact evaluations at build time).
@@ -38,44 +36,47 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 // through the plain Objective interface, so wrapping is behaviourally
 // free for them.
 
-// LowerBoundObjective prices a certified lower bound of an exact
-// objective incrementally, mirroring the DeltaObjective bind/price/apply
-// protocol — except that SwapBound returns the absolute bound of the
-// swapped mapping, not a delta. Returning the absolute value is what
-// keeps the certificate sound in floating point: the implementation
-// derives it from the swapped state's aggregates through the same
-// monotone float pipeline the exact evaluator uses, so
-// bound(candidate) ≤ exactCost(candidate) holds on the computed
-// float64s, not merely in exact arithmetic.
+// Cut reports whether, and how early, a cutoff pricing stopped.
+type Cut int8
+
+const (
+	// NotCut: the candidate was priced in full; its cost is exact.
+	NotCut Cut = iota
+	// CutAtStart: the candidate was proved a loser before any exact
+	// work began. The engines count it as a BoundSkip.
+	CutAtStart
+	// CutInRun: the candidate was proved a loser part-way through its
+	// exact pricing. The engines count it as an ExactEval.
+	CutInRun
+)
+
+// CutoffObjective prices an exact objective against a threshold, so that
+// a candidate that provably cannot beat it stops early.
 //
-// Like DeltaObjective, an implementation is stateful between ResetBound
-// and the last CommitBound and is not safe for concurrent use; parallel
-// engines bind one instance per worker lane.
-type LowerBoundObjective interface {
-	// ResetBound binds a copy of mp as the incremental baseline and
-	// returns its bound. It validates mp, making the tiered path a
-	// validating entry point like DeltaObjective.Reset.
-	ResetBound(mp mapping.Mapping) (float64, error)
-	// SwapBound returns the certified lower bound of the mapping obtained
-	// by exchanging the occupants of ta and tb, without applying the
-	// swap. occ is the occupancy view of the bound mapping.
-	SwapBound(occ []model.CoreID, ta, tb topology.TileID) (float64, error)
-	// CommitBound folds an accepted swap into the bound baseline. Call it
-	// exactly when the engine applies a move to its working mapping.
-	CommitBound(ta, tb topology.TileID)
+// CostCutoff returns the exact cost c of mp, exactly as Cost would,
+// unless it proves that c − base ≥ maxDelta; then it may stop early and
+// report how far it got. The proof must hold on the computed float64s,
+// not merely in exact arithmetic: an implementation decides it with a
+// lower bound on c priced through the same monotone float pipeline as c
+// itself. Like Cost, it assumes mp is structurally valid; an
+// implementation is not safe for concurrent use, so parallel engines
+// bind one per worker lane.
+type CutoffObjective interface {
+	CostCutoff(mp mapping.Mapping, base, maxDelta float64) (float64, Cut, error)
 }
 
 // TieredObjective wraps an exact Objective with optional cheaper tiers.
 // Exact is authoritative: Cost forwards to it, so any engine (or caller)
-// that ignores the tiers prices exactly as before. Bound and Surrogate
+// that ignores the tiers prices exactly as before. Cutoff and Surrogate
 // are both optional and independent.
 type TieredObjective struct {
 	// Exact is the authoritative pricer (the CDCM evaluator in core).
 	Exact Objective
-	// Bound, when non-nil, is the tier-A certified lower bound used by
-	// the strict-improvement engines. It must satisfy
-	// Bound ≤ Exact.Cost on the computed float64s for every candidate.
-	Bound LowerBoundObjective
+	// Cutoff, when non-nil, is tier A: the strict-improvement engines
+	// price their scans through it instead of Exact. Its uncut costs
+	// must equal Exact.Cost bit for bit; it is usually the same
+	// evaluator lane as Exact.
+	Cutoff CutoffObjective
 	// Surrogate, when non-nil, is the tier-B calibrated approximation the
 	// Metropolis engines walk on. It needs no ordering guarantee — every
 	// decision it influences is re-checked with an exact pricing before

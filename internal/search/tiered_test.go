@@ -1,7 +1,6 @@
 package search
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -10,59 +9,37 @@ import (
 	"repro/internal/topology"
 )
 
-// boundWire wraps the wireLength test objective with a certified
-// LowerBoundObjective: the bound of any mapping is its exact cost minus a
-// small epsilon, so bound ≤ exact holds by construction and the filter
-// skips almost every non-improving swap — the strongest possible stress
-// on the bit-identity contract.
-type boundWire struct {
-	w     *wireLength
-	bound mapping.Mapping
-	eps   float64
-
-	resets, swaps, commits int
+// cutWire wraps the wireLength test objective as a CutoffObjective
+// that cuts every candidate it may: one whose cost minus a small epsilon
+// (a lower bound, like a critical path) already proves d ≥ maxDelta is
+// cut at its start, one whose exact cost proves it is cut part-way. It
+// filters almost every non-improving swap — the strongest possible
+// stress on the bit-identity contract.
+type cutWire struct {
+	w    *wireLength
+	eps  float64
+	cuts [3]int
 }
 
-var _ LowerBoundObjective = (*boundWire)(nil)
+var _ CutoffObjective = (*cutWire)(nil)
 
-func (b *boundWire) ResetBound(mp mapping.Mapping) (float64, error) {
-	if err := mp.Validate(b.w.mesh.NumTiles()); err != nil {
-		return 0, err
+func (k *cutWire) CostCutoff(mp mapping.Mapping, base, maxDelta float64) (float64, Cut, error) {
+	c, err := k.w.Cost(mp)
+	if err != nil {
+		return 0, NotCut, err
 	}
-	b.bound = mp.Clone()
-	b.resets++
-	c, err := b.w.Cost(mp)
-	return c - b.eps, err
-}
-
-func (b *boundWire) SwapBound(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
-	if b.bound == nil {
-		return 0, errors.New("SwapBound before ResetBound")
+	cut := NotCut
+	switch {
+	case (c-k.eps)-base >= maxDelta:
+		cut = CutAtStart
+	case c-base >= maxDelta:
+		cut = CutInRun
 	}
-	b.swaps++
-	sm := b.bound.Clone()
-	for c, t := range sm {
-		switch t {
-		case ta:
-			sm[c] = tb
-		case tb:
-			sm[c] = ta
-		}
+	k.cuts[cut]++
+	if cut != NotCut {
+		return 0, cut, nil
 	}
-	c, err := b.w.Cost(sm)
-	return c - b.eps, err
-}
-
-func (b *boundWire) CommitBound(ta, tb topology.TileID) {
-	b.commits++
-	for c, t := range b.bound {
-		switch t {
-		case ta:
-			b.bound[c] = tb
-		case tb:
-			b.bound[c] = ta
-		}
-	}
+	return c, NotCut, nil
 }
 
 // surrWire distorts deltaWireLength into a tier-B style surrogate: an
@@ -97,12 +74,13 @@ func checkTierInvariant(t *testing.T, name string, res *Result) {
 }
 
 // TestTierAFilterBitIdentical pins the tier-A contract at the engine
-// level with a synthetic certified bound: HillClimber and Tabu runs over
-// TieredObjective{Exact, Bound} reproduce the bare runs bit for bit
-// while skipping swaps (BoundSkips > 0) and committing accepted ones
-// into the bound baseline.
+// level with a synthetic cutoff: HillClimber and Tabu runs over
+// TieredObjective{Exact, Cutoff} reproduce the bare runs bit for bit
+// while cutting candidates both at their start (BoundSkips > 0) and
+// part-way (counted as ExactEvals).
 func TestTierAFilterBitIdentical(t *testing.T) {
 	p, w := testProblem(t, 4, 3, 10)
+	inRun := 0
 	for _, engine := range []string{"hill", "tabu"} {
 		run := func(obj Objective) *Result {
 			prob := p
@@ -120,8 +98,8 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 			return res
 		}
 		bare := run(w)
-		bnd := &boundWire{w: w, eps: 1e-9}
-		tiered := run(&TieredObjective{Exact: w, Bound: bnd})
+		cw := &cutWire{w: w, eps: 1e-9}
+		tiered := run(&TieredObjective{Exact: w, Cutoff: cw})
 
 		if !mapping.Equal(bare.Best, tiered.Best) {
 			t.Fatalf("%s: tiered best %v != bare best %v", engine, tiered.Best, bare.Best)
@@ -133,24 +111,25 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 			t.Fatalf("%s: tiered (evals %d, impr %d) != bare (evals %d, impr %d)",
 				engine, tiered.Evaluations, tiered.Improvements, bare.Evaluations, bare.Improvements)
 		}
-		if tiered.BoundSkips == 0 {
-			t.Fatalf("%s: certified bound never skipped a swap", engine)
+		if tiered.BoundSkips == 0 || int64(cw.cuts[CutAtStart]) != tiered.BoundSkips {
+			t.Fatalf("%s: BoundSkips %d, start cuts %d", engine, tiered.BoundSkips, cw.cuts[CutAtStart])
 		}
+		inRun += cw.cuts[CutInRun]
 		if tiered.ExactEvals >= bare.ExactEvals {
-			t.Fatalf("%s: filter saved no exact evaluations (%d vs %d)",
+			t.Fatalf("%s: the cutoff saved no exact evaluations (%d vs %d)",
 				engine, tiered.ExactEvals, bare.ExactEvals)
-		}
-		if bnd.resets == 0 || bnd.swaps == 0 {
-			t.Fatalf("%s: bound never consulted (resets %d, swaps %d)", engine, bnd.resets, bnd.swaps)
 		}
 		checkTierInvariant(t, engine+"/bare", bare)
 		checkTierInvariant(t, engine+"/tiered", tiered)
+	}
+	if inRun == 0 {
+		t.Fatal("the cutoff never cut part-way")
 	}
 }
 
 // TestIncumbentAuditInvariant pins the walk's tracked-cost rule (the
 // drift guard): after every applied move — on the full and delta paths
-// of every move engine, the bound-filtered path of the neighbourhood
+// of every move engine, the cutoff path of the neighbourhood
 // engines and the surrogate path of the annealer — w.cost is bitwise the
 // exactly recomputed cost of w.cur, never an accumulation of deltas, and
 // the occupancy view matches w.cur.
@@ -206,8 +185,8 @@ func TestIncumbentAuditInvariant(t *testing.T) {
 		{"delta", "hill", &deltaWireLength{wireLength: *w}},
 		{"delta", "tabu", &deltaWireLength{wireLength: *w}},
 		{"delta", "sa", &deltaWireLength{wireLength: *w}},
-		{"bound", "hill", &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}},
-		{"bound", "tabu", &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}},
+		{"cutoff", "hill", &TieredObjective{Exact: w, Cutoff: &cutWire{w: w, eps: 1e-9}}},
+		{"cutoff", "tabu", &TieredObjective{Exact: w, Cutoff: &cutWire{w: w, eps: 1e-9}}},
 		{"surrogate", "sa", &TieredObjective{Exact: w, Surrogate: &surrWire{deltaWireLength{wireLength: *w}}}},
 	}
 	for _, tc := range cases {
@@ -372,14 +351,14 @@ func TestProgressTierCountersMonotone(t *testing.T) {
 	collect := func(pr Progress) { snaps = append(snaps, pr) }
 
 	prob := p
-	prob.Obj = &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}
+	prob.Obj = &TieredObjective{Exact: w, Cutoff: &cutWire{w: w, eps: 1e-9}}
 	if _, err := (&HillClimber{Problem: prob, Seed: 3, OnProgress: collect}).Run(); err != nil {
 		t.Fatal(err)
 	}
 	check("hill", snaps)
 	hill := snaps[len(snaps)-1]
 	if hill.BoundSkips == 0 {
-		t.Fatal("hill: snapshots never saw a bound skip")
+		t.Fatal("hill: snapshots never saw a start cut")
 	}
 
 	snaps = nil

@@ -287,7 +287,7 @@ type FrontResult struct {
 	Evaluations int64
 	// ExactEvals / SurrogateEvals split Evaluations by the tier that
 	// priced each candidate (the front engines never use the tier-A
-	// bound, so Evaluations == ExactEvals + SurrogateEvals here). Runs
+	// cutoff, so Evaluations == ExactEvals + SurrogateEvals here). Runs
 	// without a surrogate report ExactEvals == Evaluations.
 	ExactEvals, SurrogateEvals int64
 	// Improvements counts archive insertions across all walks (points

@@ -20,21 +20,22 @@ import (
 // the engines keep only their own acceptance rules.
 
 // tier names the optional cheaper tier an engine can exploit: the
-// strict-improvement scans filter by the tier-A certified bound, the
+// strict-improvement scans price through the tier-A cutoff, the
 // Metropolis walks steer by the tier-B surrogate.
 type tier int
 
 const (
-	boundTier tier = iota
+	cutoffTier tier = iota
 	surrogateTier
 )
 
 // walk is the state of one scalar walk. Exactly one pricing path is live:
 // the exact objective's swap delta when it has one (dobj), else the
-// tier-B surrogate when the engine steers by it (surr), else a full Cost
-// of the swapped mapping. The tier-A bound (bnd) optionally filters a
-// full-pricing scan; a delta-capable exact objective is already cheaper
-// than any bound probe or surrogate, so neither tier ever joins it.
+// tier-B surrogate when the engine steers by it (surr), else a full
+// pricing of the swapped mapping — through the tier-A cutoff (cut) when
+// the engine scans for strict improvements, a plain Cost otherwise. A
+// delta-capable exact objective is already cheaper than either tier, so
+// neither ever joins it.
 //
 // The invariant: cost is always an exactly recomputed cost of cur —
 // bindObjective's initial pricing, or an applied move's full, Commit or
@@ -50,7 +51,7 @@ type walk struct {
 	dobj  DeltaObjective
 	surr  DeltaObjective
 	scost float64 // the surrogate's own baseline, tracked like cost
-	bnd   LowerBoundObjective
+	cut   CutoffObjective
 
 	last float64 // value of the last probed candidate, steering domain
 }
@@ -91,7 +92,7 @@ func (p *Problem) startWalk(rng *rand.Rand, initial mapping.Mapping, use tier, r
 // exact pricing into res. A DeltaObjective binds cur via Reset (which also
 // validates injectivity), anything else prices it with a plain Cost. A
 // TieredObjective is unwrapped to its exact tier first, so tiered runs
-// bind and price on exactly the bare evaluator's code path; its bound or
+// bind and price on exactly the bare evaluator's code path; its cutoff or
 // surrogate then binds too, as use allows.
 func bindObjective(obj Objective, cur mapping.Mapping, numTiles int, use tier, res *Result) (*walk, error) {
 	tiered, _ := obj.(*TieredObjective)
@@ -117,13 +118,11 @@ func bindObjective(obj Objective, cur mapping.Mapping, numTiles int, use tier, r
 	switch {
 	case use == surrogateTier && tiered.Surrogate != nil:
 		w.surr = tiered.Surrogate
-		w.scost, err = w.surr.Reset(cur)
-	case use == boundTier && tiered.Bound != nil:
-		w.bnd = tiered.Bound
-		_, err = w.bnd.ResetBound(cur)
-	}
-	if err != nil {
-		return nil, err
+		if w.scost, err = w.surr.Reset(cur); err != nil {
+			return nil, err
+		}
+	case use == cutoffTier:
+		w.cut = tiered.Cutoff
 	}
 	return w, nil
 }
@@ -132,9 +131,12 @@ func bindObjective(obj Objective, cur mapping.Mapping, numTiles int, use tier, r
 // tb and its delta d against the current value, leaving cur/occ
 // untouched, and counts the evaluation against the tier that priced it.
 // Both live in the steering domain: the surrogate's own scale on a
-// surrogate walk, exact otherwise. The full path applies the swap, runs
-// a full Cost, and undoes it.
-func (w *walk) price(ta, tb topology.TileID) (c, d float64, err error) {
+// surrogate walk, exact otherwise. The full path applies the swap, prices
+// the swapped mapping in full, and undoes it; with a cutoff, a candidate
+// that provably has d ≥ maxD may stop early; it then reports cut = true,
+// and c and d mean nothing.
+func (w *walk) price(ta, tb topology.TileID, maxD float64) (c, d float64, cut bool, err error) {
+	how := NotCut
 	switch {
 	case w.dobj != nil:
 		d, err = w.dobj.SwapDelta(w.occ, ta, tb)
@@ -144,20 +146,27 @@ func (w *walk) price(ta, tb topology.TileID) (c, d float64, err error) {
 		c = w.scost + d
 	default:
 		mapping.SwapTiles(w.cur, w.occ, ta, tb)
-		c, err = w.obj.Cost(w.cur)
+		if w.cut != nil {
+			c, how, err = w.cut.CostCutoff(w.cur, w.cost, maxD)
+		} else {
+			c, err = w.obj.Cost(w.cur)
+		}
 		mapping.SwapTiles(w.cur, w.occ, ta, tb) // undo
 		d = c - w.cost
 	}
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, false, err
 	}
 	w.res.Evaluations++
-	if w.surr != nil {
+	switch {
+	case w.surr != nil:
 		w.res.SurrogateEvals++
-	} else {
+	case how == CutAtStart:
+		w.res.BoundSkips++
+	default:
 		w.res.ExactEvals++
 	}
-	return c, d, nil
+	return c, d, how != NotCut, nil
 }
 
 // apply makes the swap of ta and tb permanent; c is its exact cost on the
@@ -180,9 +189,6 @@ func (w *walk) apply(ta, tb topology.TileID, c float64) error {
 		}
 		w.res.Evaluations++
 		w.res.ExactEvals++
-	}
-	if w.bnd != nil {
-		w.bnd.CommitBound(ta, tb)
 	}
 	w.cost = c
 	if walkAudit != nil {
@@ -252,30 +258,18 @@ func (w *walk) bestSwap(ctx context.Context, bestD float64, admit func(ta, tb to
 				}
 			}
 			best.scanned++
-			if w.bnd != nil {
-				// Skip rule: the candidate's certified bound already proves
-				// its exact delta cannot beat bestD. lb ≤ c (the exact cost)
-				// gives lb−cost ≤ c−cost = d by monotonicity of float
-				// subtraction in its first operand, so lb−cost ≥ bestD
-				// implies d ≥ bestD and the strict d < bestD selection below
-				// could never fire — nor could the candidate change any
-				// admit bookkeeping, which only reads. The skipped candidate
-				// is exactly one the exact scan would have rejected, which
-				// is what keeps the filtered trajectory bit-identical. With
-				// bestD = +Inf the first candidate is never skipped.
-				lb, err := w.bnd.SwapBound(w.occ, ta, tb)
-				if err != nil {
-					return best, err
-				}
-				if lb-w.cost >= bestD {
-					w.res.Evaluations++
-					w.res.BoundSkips++
-					continue
-				}
-			}
-			c, d, err := w.price(ta, tb)
+			// Cut rule: a cut candidate is proved to have d ≥ bestD, so
+			// the strict d < bestD selection below could never fire — nor
+			// could the candidate change any admit bookkeeping, which only
+			// reads. It is exactly one the exact scan would have rejected,
+			// which is what keeps the cutoff trajectory bit-identical. With
+			// bestD = +Inf no candidate is ever cut.
+			c, d, cut, err := w.price(ta, tb, bestD)
 			if err != nil {
 				return best, err
+			}
+			if cut {
+				continue
 			}
 			if admit != nil && !admit(ta, tb, d) {
 				continue
@@ -291,7 +285,7 @@ func (w *walk) bestSwap(ctx context.Context, bestD float64, admit func(ta, tb to
 
 // probe implements mover.
 func (w *walk) probe(ta, tb topology.TileID) (float64, error) {
-	c, d, err := w.price(ta, tb)
+	c, d, _, err := w.price(ta, tb, math.Inf(1))
 	w.last = c
 	return d, err
 }

@@ -51,7 +51,7 @@ func (s *Server) initObs() {
 		"model", obs.DefaultDurationBuckets)
 	s.searchEvals = r.CounterVec("nocd_search_evaluations_total", "Objective evaluations reported by search progress snapshots, by engine.", "engine")
 	s.searchExact = r.CounterVec("nocd_search_exact_evals_total", "Exact (simulator) pricings within the reported evaluations, by engine.", "engine")
-	s.searchSkips = r.CounterVec("nocd_search_bound_skips_total", "Candidates disposed of by the certified tier-A lower bound without an exact pricing, by engine.", "engine")
+	s.searchSkips = r.CounterVec("nocd_search_bound_skips_total", "Candidates the tier-A simulation cutoff disposed of before their first packet, by engine.", "engine")
 	s.searchSurrogate = r.CounterVec("nocd_search_surrogate_evals_total", "Candidates priced on the calibrated tier-B surrogate, by engine.", "engine")
 	s.searchAccepted = r.CounterVec("nocd_search_accepted_total", "Accepted search moves, by engine.", "engine")
 	s.searchRejected = r.CounterVec("nocd_search_rejected_total", "Rejected search moves, by engine.", "engine")

@@ -43,9 +43,10 @@ type Result struct {
 	InitialCost float64 `json:"initial_cost_j"`
 	Evaluations int64   `json:"evaluations"`
 	// The two-tier split of Evaluations (always ExactEvals + BoundSkips +
-	// SurrogateEvals): exact simulator pricings, candidates the certified
-	// tier-A bound disposed of without a simulation, and candidates priced
-	// on the tier-B surrogate. Single-tier runs report ExactEvals ==
+	// SurrogateEvals): simulations started (whether the tier-A cutoff
+	// stopped them part-way or not), candidates the cutoff disposed of
+	// before their first packet, and candidates priced on the tier-B
+	// surrogate. Single-tier runs report ExactEvals ==
 	// Evaluations and zero for the other two.
 	ExactEvals     int64 `json:"exact_evals"`
 	BoundSkips     int64 `json:"bound_skips"`

@@ -155,6 +155,8 @@ func (m *Mesh) D() int { return m.d }
 func (m *Mesh) Kind() Kind { return m.kind }
 
 // NumTiles returns W*H*D, the n of Definition 3.
+//
+//nocvet:noalloc
 func (m *Mesh) NumTiles() int { return m.w * m.h * m.d }
 
 // NumLinks returns the number of directed inter-tile links.

@@ -24,7 +24,8 @@ type Occupancy struct {
 // busyList is a list of closed busy intervals for one resource, sorted by
 // Start. Arbitrated resources keep non-overlapping intervals; unarbitrated
 // resources and backpressure extensions may overlap. maxEnd caches the
-// largest End so the common append-at-the-back acquisition is O(1).
+// largest End (-1 while nothing is booked) so the common
+// append-at-the-back acquisition is O(1).
 type busyList struct {
 	iv     []Occupancy
 	maxEnd int64
@@ -34,30 +35,38 @@ type busyList struct {
 //nocvet:noalloc
 func (b *busyList) reset() {
 	b.iv = b.iv[:0]
-	b.maxEnd = 0
+	b.maxEnd = -1
 }
 
 // acquire books the earliest interval [t, t+hold] with t >= arrival that
 // does not overlap any existing booking, inserts it, and returns t.
-// Intervals are closed: a resource busy through cycle e is free from e+1.
+// Intervals are closed: a resource busy through cycle e is free from
+// e+1. Only for the arbitrated lists of the unbounded-buffer path, which
+// nothing but acquire and the run loop's inline append (its common case:
+// an arrival after everything booked) ever books: such a list never
+// overlaps, so End is sorted like Start and a binary search finds the
+// first interval that can conflict (End >= arrival); every earlier one
+// is entirely in the past.
 //nocvet:noalloc
 func (b *busyList) acquire(arrival, hold int64, pkt model.PacketID) int64 {
 	t := arrival
 	pos := len(b.iv)
-	if len(b.iv) == 0 || arrival > b.maxEnd {
-		// Fast path: strictly after everything booked.
-	} else {
-		for i := range b.iv {
-			cur := &b.iv[i]
-			if cur.End < t {
-				continue // entirely in the past w.r.t. t
-			}
-			if t+hold < cur.Start {
-				pos = i // fits wholly in the gap before cur
-				break
-			}
-			t = cur.End + 1 // conflict: jump past cur
+	lo, hi := 0, len(b.iv)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.iv[mid].End < arrival {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	for i := lo; i < len(b.iv); i++ {
+		cur := &b.iv[i]
+		if t+hold < cur.Start {
+			pos = i // fits wholly in the gap before cur
+			break
+		}
+		t = cur.End + 1 // conflict: jump past cur
 	}
 	b.iv = append(b.iv, Occupancy{})
 	copy(b.iv[pos+1:], b.iv[pos:])
@@ -98,7 +107,7 @@ func (b *busyList) record(start, hold int64, pkt model.PacketID) {
 // which it was examined.
 //nocvet:noalloc
 func (b *busyList) earliestFree(arrival, hold int64) int64 {
-	if len(b.iv) == 0 || arrival > b.maxEnd {
+	if arrival > b.maxEnd {
 		return arrival // fast path: strictly after everything booked
 	}
 	t := arrival

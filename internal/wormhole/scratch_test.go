@@ -1,6 +1,8 @@
 package wormhole
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -166,6 +168,161 @@ func TestRunScratchSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RunScratch steady state allocates %.1f objects/run, want 0", allocs)
+	}
+	// The cutoff run, cut at every stage: before the first packet,
+	// part-way (at the mapping's own texec), and never.
+	limits := make([][3]*fixedLimit, len(mps))
+	for j, mp := range mps {
+		res, err := sim.RunScratch(mp, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limits[j] = [3]*fixedLimit{{limit: 0}, {limit: res.ExecCycles}, {limit: math.MaxInt64}}
+	}
+	allocs = testing.AllocsPerRun(64, func() {
+		mp := mps[i%len(mps)]
+		lim := limits[i%len(mps)][i%3]
+		i++
+		if _, _, err := sim.RunCutoff(mp, sc, lim); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RunCutoff steady state allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// fixedLimit is a Limiter with a constant limit that records the traffic
+// it was asked about.
+type fixedLimit struct {
+	limit   int64
+	traffic Traffic
+}
+
+func (l *fixedLimit) Limit(t Traffic) int64 {
+	l.traffic = t
+	return l.limit
+}
+
+// critPath is an oracle for the cutoff's starting bound: the longest
+// chain of the dependence DAG, each packet weighted by its computation
+// time plus its contention-free network time, with routes and TSV hops
+// taken from the mesh rather than from the simulator's compiled tables.
+func critPath(t *testing.T, mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, mp mapping.Mapping) int64 {
+	t.Helper()
+	dg, err := g.DepGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := make([]int64, g.NumPackets())
+	done := make([]bool, g.NumPackets())
+	var visit func(p int) int64
+	visit = func(p int) int64 {
+		if done[p] {
+			return finish[p]
+		}
+		var ready int64
+		for _, q := range dg.Pred(p) {
+			ready = max(ready, visit(q))
+		}
+		pkt := g.Packets[p]
+		r, err := mesh.Route(cfg.Routing, mp[pkt.Src], mp[pkt.Dst])
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, v := int64(r.K()), int64(mesh.VerticalHops(mp[pkt.Src], mp[pkt.Dst]))
+		tl := cfg.LinkCycles
+		finish[p] = ready + pkt.Compute + k*(cfg.RoutingCycles+tl) + v*(cfg.TSVCycles()-tl) + cfg.Flits(pkt.Bits)*tl
+		done[p] = true
+		return finish[p]
+	}
+	var lp int64
+	for p := range g.Packets {
+		lp = max(lp, visit(p))
+	}
+	return lp
+}
+
+// TestRunCutoffCutsExactlyAtLimit pins the cutoff's contract against a
+// full run, across 2-D/3-D/torus grids and both buffer policies: a run
+// is cut iff its texec reaches the limit, cut before its first packet iff
+// the critical path does, handed the full run's traffic totals, and an
+// uncut run returns RunScratch's result schedule for schedule.
+func TestRunCutoffCutsExactlyAtLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, mesh := range scratchMeshes(t) {
+		for _, bounded := range []bool{false, true} {
+			cfg := noc.Default()
+			if mesh.D() > 1 {
+				cfg.Routing = topology.RouteXYZ
+				cfg.TSVLinkCycles = 3
+			}
+			if bounded {
+				cfg.Buffers = noc.BuffersBounded
+				cfg.BufferFlits = 2
+			}
+			nc := 2 + rng.Intn(mesh.NumTiles()-1)
+			g := randomValidCDCG(rng, nc, 30)
+			sim, err := NewSimulator(mesh, cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, ref := sim.NewScratch(), sim.NewScratch()
+			cuts := 0
+			for trial := 0; trial < 10; trial++ {
+				name := fmt.Sprintf("mesh %dx%dx%d bounded=%v trial %d", mesh.W(), mesh.H(), mesh.D(), bounded, trial)
+				mp, err := mapping.Random(rng, nc, mesh.NumTiles())
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := sim.RunScratch(mp, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := cloneResult(full)
+				traffic := Traffic{CoreBits: want.CoreBits, TSVBits: want.TSVBits}
+				for _, b := range want.RouterBits {
+					traffic.RouterBits += b
+				}
+				for _, b := range want.LinkBits {
+					traffic.LinkBits += b
+				}
+				exec, lp := want.ExecCycles, critPath(t, mesh, cfg, g, mp)
+				if lp > exec {
+					t.Fatalf("%s: critical path %d exceeds texec %d", name, lp, exec)
+				}
+				for _, limit := range []int64{0, lp - 1, lp, lp + 1, exec - 1, exec, exec + 1, math.MaxInt64} {
+					lim := fixedLimit{limit: limit}
+					res, simulated, err := sim.RunCutoff(mp, sc, &lim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if lim.traffic != traffic {
+						t.Fatalf("%s: limiter saw traffic %+v, the run has %+v", name, lim.traffic, traffic)
+					}
+					switch {
+					case limit <= lp:
+						if res != nil || simulated != 0 {
+							t.Fatalf("%s limit %d: want a cut before the first packet (critical path %d), got result %v after %d packets",
+								name, limit, lp, res != nil, simulated)
+						}
+					case limit <= exec:
+						cuts++
+						if res != nil || simulated == 0 {
+							t.Fatalf("%s limit %d: want a cut part-way (texec %d), got result %v after %d packets",
+								name, limit, exec, res != nil, simulated)
+						}
+					default:
+						if res == nil || simulated != g.NumPackets() || !resultsEqual(want, res) {
+							t.Fatalf("%s limit %d: uncut run (texec %d) diverged from RunScratch", name, limit, exec)
+						}
+					}
+				}
+			}
+			if cuts == 0 {
+				t.Fatalf("mesh %dx%dx%d bounded=%v: no run was cut part-way", mesh.W(), mesh.H(), mesh.D(), bounded)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package wormhole
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/mapping"
@@ -157,9 +158,23 @@ func (r *Result) Occupancies(kind ResourceKind, index int) []Occupancy {
 	return ls[index].snapshot()
 }
 
+// Traffic is the mapping-determined traffic of one run: the totals of a
+// Result's RouterBits and LinkBits, its TSVBits and its CoreBits. It
+// depends only on the routes, never on contention.
+type Traffic struct {
+	RouterBits, LinkBits, TSVBits, CoreBits int64
+}
+
+// Limiter prices the texec limit of a cutoff run (RunCutoff).
+type Limiter interface {
+	// Limit returns the smallest texec, in cycles, at which a candidate
+	// with traffic t provably loses, or math.MaxInt64 if none does. The
+	// answer must be monotone: every texec at or above it loses too.
+	Limit(t Traffic) int64
+}
+
 // Simulator evaluates mappings of one CDCG on one NoC. Everything bound
-// at NewSimulator time — the full route table, the dense
-// (tile, nextTile) → output-port and → link tables, flit counts and the
+// at NewSimulator time — the compiled route table, flit counts and the
 // dependence graph — is immutable afterwards, so one Simulator is safe to
 // share across goroutines as long as each goroutine runs with its own
 // Scratch (NewScratch + RunScratch): that is how the parallel search
@@ -194,18 +209,22 @@ type Simulator struct {
 	baseIndeg []int
 	initHeap  []pktKey
 
-	// The full route table, precomputed at construction: the route from
-	// src to dst is routeData[routeOff[src*n+dst]:routeOff[src*n+dst+1]].
-	// Flattening into one backing array keeps the table cache-friendly
-	// and the lookup branch-free — no lazy fill, so concurrent RunScratch
-	// lanes never write here. Memory is O(n²·avg-route-length), the same
-	// order as the lazy per-pair cache it replaces once a search has
-	// touched every pair (which annealing does). Construction costs one
+	// topo is a topological order of the dependence DAG; cutoff runs
+	// walk it backwards to price every packet's contention-free tail.
+	topo []int32
+
+	// The compiled route table, precomputed at construction: the route
+	// from src to dst is the hop program
+	// prog[routeOff[src*n+dst]:routeOff[src*n+dst+1]], one hop per
+	// router traversed. Flattening into one backing array keeps the table
+	// cache-friendly and the lookup branch-free — no lazy fill, so
+	// concurrent RunScratch lanes never write here. Memory is
+	// O(n²·avg-route-length), 8 bytes per hop. Construction costs one
 	// Route call per tile pair (~6.5 ms on a 12x10 grid) — noise against
 	// any search, noticeable only when a Simulator is built to price a
 	// single mapping.
-	routeOff  []int32
-	routeData []topology.TileID
+	routeOff []int32
+	prog     []hop
 	// faults is the fault set the route table was built against (nil for
 	// an intact simulator — the NewSimulator path, which is bit-identical
 	// to the pre-fault behaviour). unreach[src*n+dst] marks tile pairs the
@@ -213,13 +232,6 @@ type Simulator struct {
 	// intact hot loop pays a single nil check.
 	faults  *topology.FaultSet
 	unreach []bool
-	// portOf[from*n+to] is the dense output-port index for leaving tile
-	// `from` towards adjacent tile `to` (diagonal entries hold the local
-	// port); linkOf[from*n+to] the dense link index. -1 where the tiles
-	// are not adjacent. They replace the per-hop linear neighbor scans of
-	// Mesh.Neighbor/LinkIndex on the hot path.
-	portOf []int32
-	linkOf []int32
 
 	scratch  *Scratch // lazily built by Run; nil until then
 	initOnce bool
@@ -253,12 +265,21 @@ type Scratch struct {
 	heap        pktHeap
 	hops        []hopPlan
 	seen        []model.CoreID // mapping-validation buffer, reused per run
+	// after[p] is packet p's contention-free DAG tail (see tails) and
+	// tail[p] = p's own contention-free time plus after[p]; both are
+	// written only by cutoff runs.
+	after, tail []int64
 
 	res        Result
 	packets    []PacketSchedule
 	routerBits []int64
 	linkBits   []int64
 }
+
+// hop is one router traversal of a compiled route: the output port taken
+// there (the router's tile is port / NumPorts) and the link that port
+// feeds, -1 at the destination's local port.
+type hop struct{ port, link int32 }
 
 // hopPlan is one resource traversal of the packet currently being routed:
 // computed during the plan pass, booked during the commit pass.
@@ -277,14 +298,17 @@ type hopPlan struct {
 // the annealer's hot path. With bounded buffers the hop is appended to
 // the plan and booked by the commit pass after backpressure extensions.
 // Unarbitrated resources acquire at arrival regardless of existing
-// bookings.
+// bookings; on the unbounded path they are booked only for a recording
+// run, since no timing decision ever reads them.
 //nocvet:noalloc
-func (s *Simulator) plan(sc *Scratch, list *busyList, arrival, hold, rate int64, arbitrated, isPort bool, pkt model.PacketID) int64 {
+func (s *Simulator) plan(sc *Scratch, list *busyList, arrival, hold, rate int64, arbitrated, isPort, record bool, pkt model.PacketID) int64 {
 	if s.Cfg.Buffers != noc.BuffersBounded {
 		if arbitrated {
 			return list.acquire(arrival, hold, pkt)
 		}
-		list.record(arrival, hold, pkt)
+		if record {
+			list.record(arrival, hold, pkt)
+		}
 		return arrival
 	}
 	t := arrival
@@ -335,9 +359,9 @@ func (s *Simulator) applyBackpressure(sc *Scratch, tl int64) {
 }
 
 // NewSimulator validates the inputs and prepares a reusable simulator:
-// every route of the grid and the dense port/link adjacency tables are
-// computed here, once, so the run hot path is pure table lookups and the
-// shared state never mutates again.
+// every route of the grid is compiled here, once, into its hop program,
+// so the run hot path is pure table lookups and the shared state never
+// mutates again.
 func NewSimulator(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG) (*Simulator, error) {
 	return NewSimulatorFaults(mesh, cfg, g, nil)
 }
@@ -367,7 +391,14 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{Mesh: mesh, Cfg: cfg, G: g, dg: dg}
+	order, err := dg.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	s := &Simulator{Mesh: mesh, Cfg: cfg, G: g, dg: dg, topo: make([]int32, len(order))}
+	for i, p := range order {
+		s.topo[i] = int32(p)
+	}
 	n := mesh.NumTiles()
 	s.numTiles = n
 	if mesh.D() > 1 {
@@ -390,34 +421,49 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	}
 	s.initHeap = srcHeap.a
 
-	// Dense adjacency tables. Directions are scanned in the East..Up
-	// enumeration order and the first link between a tile pair wins,
-	// mirroring the scan the lazy path used (on small tori two directions
-	// can reach the same neighbor).
-	s.portOf = make([]int32, n*n)
-	s.linkOf = make([]int32, n*n)
-	for i := range s.portOf {
-		s.portOf[i] = -1
-		s.linkOf[i] = -1
+	// Dense adjacency, needed only to compile the routes: portOf[a*n+b]
+	// is the output port leaving tile a towards adjacent tile b (the
+	// diagonal holds the local port), linkOf[a*n+b] the link index, -1
+	// where the tiles are not adjacent. Directions are scanned in the
+	// East..Up enumeration order and the first link between a tile pair
+	// wins (on small tori two directions can reach the same neighbor).
+	portOf := make([]int32, n*n)
+	linkOf := make([]int32, n*n)
+	for i := range portOf {
+		portOf[i] = -1
+		linkOf[i] = -1
 	}
 	for t := 0; t < n; t++ {
-		s.portOf[t*n+t] = int32(t*NumPorts + LocalPort)
+		portOf[t*n+t] = int32(t*NumPorts + LocalPort)
 		for d := topology.East; d <= topology.Up; d++ {
 			nt, ok := mesh.Neighbor(topology.TileID(t), d)
-			if !ok || s.linkOf[t*n+int(nt)] >= 0 {
+			if !ok || linkOf[t*n+int(nt)] >= 0 {
 				continue
 			}
 			li, ok := mesh.LinkIndex(topology.TileID(t), nt)
 			if !ok {
 				return nil, fmt.Errorf("wormhole: tiles %d and %d are not adjacent", t, nt)
 			}
-			s.portOf[t*n+int(nt)] = int32(t*NumPorts + int(d))
-			s.linkOf[t*n+int(nt)] = int32(li)
+			portOf[t*n+int(nt)] = int32(t*NumPorts + int(d))
+			linkOf[t*n+int(nt)] = int32(li)
+		}
+	}
+	// compile appends one route's hop program: at each router the port
+	// towards the next tile (the local port at the last one) and the link
+	// it feeds. Route steps are adjacent tiles by construction.
+	compile := func(tiles []topology.TileID) {
+		for i, t := range tiles {
+			next := t
+			if i+1 < len(tiles) {
+				next = tiles[i+1]
+			}
+			at := int(t)*n + int(next)
+			s.prog = append(s.prog, hop{port: portOf[at], link: linkOf[at]})
 		}
 	}
 
-	// Full route table, flattened. On the intact path route lengths are
-	// K = MinHops+1, which sizes the backing array exactly before the
+	// Compiled route table, flattened. On the intact path route lengths
+	// are K = MinHops+1, which sizes the backing array exactly before the
 	// fill pass; fault-aware detours can be longer, so that total is only
 	// a best-effort capacity hint there.
 	s.routeOff = make([]int32, n*n+1)
@@ -427,7 +473,7 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 			total += mesh.MinHops(topology.TileID(a), topology.TileID(b)) + 1
 		}
 	}
-	s.routeData = make([]topology.TileID, 0, total)
+	s.prog = make([]hop, 0, total)
 	if fs.Empty() {
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
@@ -435,8 +481,8 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 				if err != nil {
 					return nil, err
 				}
-				s.routeData = append(s.routeData, r.Tiles...)
-				s.routeOff[a*n+b+1] = int32(len(s.routeData))
+				compile(r.Tiles)
+				s.routeOff[a*n+b+1] = int32(len(s.prog))
 			}
 		}
 	} else {
@@ -454,9 +500,9 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 				case err != nil:
 					return nil, err
 				default:
-					s.routeData = append(s.routeData, r.Tiles...)
+					compile(r.Tiles)
 				}
-				s.routeOff[a*n+b+1] = int32(len(s.routeData))
+				s.routeOff[a*n+b+1] = int32(len(s.prog))
 			}
 		}
 	}
@@ -485,6 +531,8 @@ func (s *Simulator) NewScratch() *Scratch {
 		routerSpans: make([]busyList, n),
 		indeg:       make([]int, np),
 		ready:       make([]int64, np),
+		after:       make([]int64, np),
+		tail:        make([]int64, np),
 		seen:        make([]model.CoreID, n),
 		packets:     make([]PacketSchedule, np),
 		routerBits:  make([]int64, n),
@@ -526,7 +574,7 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 		RouterBits: make([]int64, s.numTiles),
 		LinkBits:   make([]int64, s.Mesh.NumLinks()),
 	}
-	if err := s.run(sc, res, mp, sc.RecordOccupancy || s.RecordOccupancy); err != nil {
+	if _, _, err := s.run(sc, res, mp, sc.RecordOccupancy || s.RecordOccupancy, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -541,32 +589,107 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 // concurrently against one shared Simulator.
 //nocvet:noalloc
 func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error) {
+	res, _, err := s.RunCutoff(mp, sc, nil)
+	return res, err
+}
+
+// RunCutoff is RunScratch against a texec limit: with a non-nil lim the
+// run stops as soon as it proves that the mapping's texec reaches
+// lim.Limit of its traffic. The proof is a running lower bound on texec,
+// max(Delivered_p + after_p) over the packets delivered so far, where
+// after_p is the contention-free dependence-DAG tail behind packet p;
+// before the first packet it is the uncontended critical path. A cut
+// run returns a nil Result and the number of packets simulated before
+// the cut (0 when the critical path alone reached the limit); an uncut
+// run returns exactly RunScratch's Result. A nil lim never cuts.
+//nocvet:noalloc
+func (s *Simulator) RunCutoff(mp mapping.Mapping, sc *Scratch, lim Limiter) (*Result, int, error) {
 	if !s.initOnce {
-		return nil, errors.New("wormhole: use NewSimulator")
+		return nil, 0, errors.New("wormhole: use NewSimulator")
 	}
 	if sc == nil || sc.sim != s {
-		return nil, errors.New("wormhole: scratch is not from this simulator's NewScratch")
+		return nil, 0, errors.New("wormhole: scratch is not from this simulator's NewScratch")
 	}
 	res := &sc.res
 	res.Packets = sc.packets
 	res.RouterBits = sc.routerBits
 	res.LinkBits = sc.linkBits
-	if err := s.run(sc, res, mp, sc.RecordOccupancy); err != nil {
-		return nil, err
+	simulated, cut, err := s.run(sc, res, mp, sc.RecordOccupancy, lim)
+	if err != nil || cut {
+		return nil, simulated, err
 	}
-	return res, nil
+	return res, simulated, nil
 }
 
-// run is the simulation core shared by Run and RunScratch: all mutable
-// state lives in sc, all shared state on s is read-only, and the
-// schedule is written into res (whose slices the caller sized).
+// tails prices the contention-free dependence-DAG tail of every packet
+// for a cutoff run: walking a topological order backwards, after[p] is
+// the longest chain of successors behind p, each contributing its
+// computation time plus its uncontended network time
+// K·(tr+tl) + V·(tTSV−tl) + flits·tl — exactly what the run charges an
+// unobstructed packet, which contention can only delay. It also returns
+// the mapping's traffic totals and the uncontended critical path, the
+// largest tail.
 //nocvet:noalloc
-func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool) error {
+func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (Traffic, int64, error) {
+	n := s.numTiles
+	trl := s.Cfg.RoutingCycles + s.Cfg.LinkCycles
+	vadj := s.Cfg.TSVCycles() - s.Cfg.LinkCycles
+	var tr Traffic
+	var lp int64
+	for i := len(s.topo) - 1; i >= 0; i-- {
+		p := int(s.topo[i])
+		pkt := &s.G.Packets[p]
+		ri := int(mp[pkt.Src])*n + int(mp[pkt.Dst])
+		if s.unreach != nil && s.unreach[ri] {
+			return Traffic{}, 0, ErrUnreachable
+		}
+		prog := s.prog[s.routeOff[ri]:s.routeOff[ri+1]]
+		k, v := int64(len(prog)), int64(0)
+		if s.vertLink != nil {
+			for _, hp := range prog {
+				if hp.link >= 0 && s.vertLink[hp.link] {
+					v++
+				}
+			}
+		}
+		tr.RouterBits += pkt.Bits * k
+		tr.LinkBits += pkt.Bits * (k - 1)
+		tr.TSVBits += pkt.Bits * v
+		tr.CoreBits += 2 * pkt.Bits
+		var after int64
+		for _, q := range s.dg.Succ(p) {
+			after = max(after, sc.tail[q])
+		}
+		sc.after[p] = after
+		sc.tail[p] = pkt.Compute + k*trl + v*vadj + s.flits[p]*s.Cfg.LinkCycles + after
+		lp = max(lp, sc.tail[p])
+	}
+	return tr, lp, nil
+}
+
+// run is the simulation core shared by Run, RunScratch and RunCutoff:
+// all mutable state lives in sc, all shared state on s is read-only, and
+// the schedule is written into res (whose slices the caller sized). It
+// returns the number of packets simulated and whether lim cut the run.
+//nocvet:noalloc
+func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool, lim Limiter) (int, bool, error) {
 	if len(mp) != s.G.NumCores() {
-		return fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
+		return 0, false, fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
 	}
 	if err := mp.ValidateInto(s.numTiles, sc.seen); err != nil {
-		return err
+		return 0, false, err
+	}
+	limit := int64(math.MaxInt64)
+	if lim != nil {
+		t, lp, err := s.tails(sc, mp)
+		if err != nil {
+			return 0, false, err
+		}
+		//nocvet:ignore the limiter is the caller's pricing certificate; core's is itself //nocvet:noalloc and AllocsPerRun-pinned
+		limit = lim.Limit(t)
+		if lp >= limit {
+			return 0, true, nil
+		}
 	}
 
 	np := s.G.NumPackets()
@@ -600,6 +723,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
 	tlv := s.Cfg.TSVCycles() // per-flit vertical (TSV) hop time; unused on depth-1 grids
 	arbLocal := s.Cfg.ArbitrateLocal
+	bounded := s.Cfg.Buffers == noc.BuffersBounded
 	scheduled := 0
 	for sc.heap.len() > 0 {
 		k := sc.heap.pop()
@@ -613,9 +737,9 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			// The sentinel is static so the noalloc hot path stays clean;
 			// resilience scoring catches it and applies the documented
 			// penalty instead of treating it as a failure.
-			return ErrUnreachable
+			return scheduled, false, ErrUnreachable
 		}
-		tiles := s.routeData[s.routeOff[ri]:s.routeOff[ri+1]]
+		prog := s.prog[s.routeOff[ri]:s.routeOff[ri+1]]
 
 		linkHold := nFlits * tl
 		portHold := tr + (nFlits-1)*tl
@@ -634,41 +758,36 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		// Source core -> local router link. Core links are timed but not
 		// arbitrated under the paper's CRG semantics (ArbitrateLocal
 		// false); see noc.Config.ArbitrateLocal.
-		t := s.plan(sc, &sc.coreOut[srcTile], h, linkHold, tl, arbLocal, false, k.id)
+		t := s.plan(sc, &sc.coreOut[srcTile], h, linkHold, tl, arbLocal, false, record, k.id)
 		contention += t - h
 		h = t + tl
 
 		// Routers (output-port arbitration) and the links they feed.
 		var delivered int64
-		for i, tile := range tiles {
+		for _, hp := range prog {
 			arrival := h
-			next := tile // == tile signals the local (core) port
-			if i+1 < len(tiles) {
-				next = tiles[i+1]
-			}
-			// Route steps are adjacent tiles of this mesh by
-			// construction, so the table entries are always valid.
-			pi := int(s.portOf[int(tile)*n+int(next)])
-			local := next == tile
-			// Resolve the outgoing link (and whether it is a TSV) before
-			// booking the port: a port feeding a vertical link streams its
-			// flits at the TSV rate, so its hold time follows the link's.
-			li, vert := -1, false
-			pHold := portHold
-			if !local {
-				li = int(s.linkOf[int(tile)*n+int(next)])
-				if s.vertLink != nil && s.vertLink[li] {
-					vert = true
-					pHold = vPortHold
-				}
+			pi, li := int(hp.port), int(hp.link)
+			tile := pi / NumPorts
+			local := li < 0 // the destination's local (core) port
+			// Resolve whether the outgoing link is a TSV before booking
+			// the port: a port feeding a vertical link streams its flits
+			// at the TSV rate, so its hold time follows the link's.
+			vert := !local && s.vertLink != nil && s.vertLink[li]
+			pHold, pRate := portHold, tl
+			if vert {
+				pHold, pRate = vPortHold, tlv
 			}
 			// Paper-faithful: the local output port is timed but not
-			// arbitrated (Figure 3(b) shows overlapping deliveries).
-			pRate := tl
-			if vert {
-				pRate = tlv
+			// arbitrated (Figure 3(b) shows overlapping deliveries). An
+			// arbitrated unbounded booking after everything already
+			// booked, the common case, appends inline; plan does the rest.
+			if pl := &sc.ports[pi]; !bounded && h > pl.maxEnd && (!local || arbLocal) {
+				t, pl.maxEnd = h, h+pHold
+				//nocvet:ignore pl points into the scratch's port lists: the append grows scratch-owned capacity
+				pl.iv = append(pl.iv, Occupancy{Packet: k.id, Start: h, End: pl.maxEnd})
+			} else {
+				t = s.plan(sc, pl, h, pHold, pRate, !local || arbLocal, true, record, k.id)
 			}
-			t = s.plan(sc, &sc.ports[pi], h, pHold, pRate, !local || arbLocal, true, k.id)
 			contention += t - h
 			portEnd := t + pHold
 			h = t + tr
@@ -684,7 +803,13 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 				if vert {
 					lHold, adv = vLinkHold, tlv
 				}
-				t = s.plan(sc, &sc.links[li], h, lHold, adv, true, false, k.id)
+				if ll := &sc.links[li]; !bounded && h > ll.maxEnd {
+					t, ll.maxEnd = h, h+lHold
+					//nocvet:ignore ll points into the scratch's link lists: the append grows scratch-owned capacity
+					ll.iv = append(ll.iv, Occupancy{Packet: k.id, Start: h, End: ll.maxEnd})
+				} else {
+					t = s.plan(sc, ll, h, lHold, adv, true, false, record, k.id)
+				}
 				contention += t - h
 				h = t + adv
 				res.LinkBits[li] += pkt.Bits
@@ -694,7 +819,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			} else {
 				// Local router -> destination core link; delivery is when
 				// the last flit crosses it.
-				t = s.plan(sc, &sc.coreIn[dstTile], h, linkHold, tl, arbLocal, false, k.id)
+				t = s.plan(sc, &sc.coreIn[dstTile], h, linkHold, tl, arbLocal, false, record, k.id)
 				contention += t - h
 				delivered = t + linkHold
 			}
@@ -714,7 +839,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			Start:      k.start,
 			Delivered:  delivered,
 			Contention: contention,
-			K:          len(tiles),
+			K:          len(prog),
 			Flits:      nFlits,
 		}
 		res.TotalContention += contention
@@ -722,6 +847,11 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			res.ExecCycles = delivered
 		}
 		scheduled++
+		// The cutoff: every successor chain of p still needs its
+		// contention-free time after p's delivery.
+		if delivered+sc.after[p] >= limit {
+			return scheduled, true, nil
+		}
 
 		for _, succ := range s.dg.Succ(p) {
 			if delivered > sc.ready[succ] {
@@ -737,7 +867,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		}
 	}
 	if scheduled != np {
-		return errors.New("wormhole: dependence deadlock (cyclic CDCG)")
+		return scheduled, false, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
 	}
 
 	if record {
@@ -753,7 +883,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			coreIn:      snapshotAll(sc.coreIn),
 		}
 	}
-	return nil
+	return scheduled, false, nil
 }
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display
@@ -798,8 +928,6 @@ func (a pktKey) less(b pktKey) bool {
 // pktHeap is a binary min-heap of pktKey.
 type pktHeap struct{ a []pktKey }
 
-//nocvet:noalloc
-func (h *pktHeap) reset()   { h.a = h.a[:0] }
 //nocvet:noalloc
 func (h *pktHeap) len() int { return len(h.a) }
 
